@@ -18,7 +18,8 @@ def load_series_csv(path, expect_columns=None):
     """Load named numeric columns from a CSV file.
 
     Returns a dict of 1-D float arrays keyed by header name. Malformed
-    rows raise ``CsvFormatError`` with the offending line number.
+    rows and nan/inf cells raise ``CsvFormatError`` with the offending
+    line number (and column).
     """
     if not os.path.exists(path):
         raise CsvFormatError(f"no such file: {path}")
@@ -43,12 +44,22 @@ def load_series_csv(path, expect_columns=None):
                     f"found {len(row)}")
             for h, cell in zip(header, row):
                 try:
-                    columns[h].append(float(cell))
+                    columns[h].append(_finite(cell, path, lineno, repr(h)))
                 except ValueError:
                     raise CsvFormatError(
                         f"{path}: line {lineno}: not a number: {cell!r}"
                     ) from None
     return {h: np.asarray(v, dtype=float) for h, v in columns.items()}
+
+
+def _finite(cell, path, lineno, column):
+    """``float(cell)``; a nan or inf value raises ``CsvFormatError``."""
+    value = float(cell)
+    if not np.isfinite(value):
+        raise CsvFormatError(
+            f"{path}: line {lineno}: column {column}: non-finite value "
+            f"{cell.strip()!r}")
+    return value
 
 
 def save_columns_csv(path, columns):
@@ -65,11 +76,6 @@ def save_columns_csv(path, columns):
             writer.writerow([repr(float(a[i])) for a in arrays])
 
 
-# Aliases matching their use sites: run reports and plot-ready curves.
-save_table_csv = save_columns_csv
-save_plotdata_csv = save_columns_csv
-
-
 def load_events_csv(path):
     """Load a single-column event-time CSV (seconds); header optional."""
     if not os.path.exists(path):
@@ -84,7 +90,7 @@ def load_events_csv(path):
                     f"{path}: line {lineno}: expected a single column")
             cell = row[0].strip()
             try:
-                values.append(float(cell))
+                values.append(_finite(cell, path, lineno, 1))
             except ValueError:
                 if lineno == 1:
                     continue  # header row

@@ -29,6 +29,10 @@ class InterpolationRegionError(WarpskiError):
     """A point lies outside the stencil-safe interior of the grid."""
 
 
+class NonFiniteInputError(WarpskiError):
+    """Input data hold a nan or inf value."""
+
+
 class NotPositiveDefiniteError(WarpskiError):
     """An operator or factor that must be positive (semi)definite is not."""
 

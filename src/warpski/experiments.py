@@ -17,7 +17,7 @@ import numpy as np
 
 from .csvio import save_columns_csv
 from .exceptions import ConfigError
-from .grids import grid_covering_box
+from .grids import MIN_AXIS_COUNT, grid_covering_box
 from .kernels import Product, QuasiPeriodic, SquaredExponential
 from .krylov import cg_solve
 from .metrics import rmse, snr_improvement
@@ -79,6 +79,16 @@ class ExperimentConfig:
         for name in ("n_probes", "lanczos_steps", "max_steps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be a positive integer")
+        if not self.dt > 0:
+            raise ConfigError("dt: must be positive")
+        amps = self.amplitudes
+        if len(amps) != 2 or not all(a > 0 for a in amps):
+            raise ConfigError("amplitudes: need exactly 2, all positive")
+        for name in ("grid_counts", "sample_grid_counts"):
+            counts = getattr(self, name)
+            if len(counts) != 2 or min(counts) < MIN_AXIS_COUNT:
+                raise ConfigError(f"{name}: need 2 per-axis counts, "
+                                  f"each >= {MIN_AXIS_COUNT}")
 
     @classmethod
     def from_dict(cls, data):
@@ -202,8 +212,8 @@ def run_numeric2d(config):
     op = build_operator(fitted, x)
     t_inference = _timeit(
         lambda: cg_solve(op.matvec, y, tol=config.cg_tol_inference))
-    rep = cg_solve(op.matvec, y, tol=config.cg_tol_inference)
-    posterior_mean = op.matvec_no_noise(rep.x)
+    sep = separate(fitted, x, y, cg_tol=config.cg_tol_inference, operator=op)
+    posterior_mean = sum(sep.means)
     t_nlml = _timeit(
         lambda: approx_nlml(fitted, x, y, n_probes=config.n_probes,
                             seed=config.seed, cg_tol=config.cg_tol_inference,
@@ -220,7 +230,7 @@ def run_numeric2d(config):
         metrics={"rmse": rmse(posterior_mean, draw.latent),
                  "nlml": result.value},
         learned=learned,
-        cg_iterations=rep.iterations)
+        cg_iterations=sep.cg_report.iterations)
     _write_report(config, report, extra_tables={
         os.path.join("curves", "posterior.csv"): {
             "x0": x[:, 0], "x1": x[:, 1], "y": y,
@@ -236,11 +246,11 @@ def _synthetic_events(rng, t_end, period, jitter):
     return np.asarray(times)
 
 
-def separation_model(config, warps, t_end):
-    """Two quasi-periodic phase-warped components over [0, t_end]."""
+def separation_model(config, warps, t_end, t_start=0.0):
+    """Two quasi-periodic phase-warped components over [t_start, t_end]."""
     comps = []
     for warp, amp in zip(warps, config.amplitudes):
-        phase_span = (float(warp.forward(0.0)), float(warp.forward(t_end)))
+        phase_span = (float(warp.forward(t_start)), float(warp.forward(t_end)))
         cycles = (phase_span[1] - phase_span[0]) / (2.0 * np.pi)
         count = max(int(np.ceil(cycles * config.grid_per_cycle)), 16)
         grid = grid_covering_box([phase_span], [count])
@@ -257,11 +267,28 @@ def separation_model(config, warps, t_end):
 
 
 def run_separation1d(config):
-    """Generate a two-source quasi-periodic mixture, fit and separate."""
+    """Fit and separate a two-source quasi-periodic mixture.
+
+    With ``data_csv`` the series is loaded first and its time column,
+    which must be strictly increasing, sets the span of the grids and of
+    any synthetic events; otherwise ``n`` samples at spacing ``dt`` are
+    drawn from the prior.
+    """
     from .csvio import load_events_csv, load_series_csv
 
     rng = np.random.default_rng(config.seed)
-    t = np.arange(config.n) * config.dt
+    if config.data_csv:
+        series = load_series_csv(config.data_csv)
+        if "time" not in series or "value" not in series:
+            raise ConfigError("data_csv: expected 'time' and 'value' columns")
+        t = series["time"]
+        y = series["value"]
+        if t.size < 2 or not np.all(np.diff(t) > 0.0):
+            raise ConfigError(
+                "data_csv: the time column must be finite and strictly "
+                "increasing with at least 2 rows")
+    else:
+        t = np.arange(config.n) * config.dt
     t_end = float(t[-1])
 
     if config.maternal_events_csv:
@@ -276,14 +303,9 @@ def run_separation1d(config):
                                 config.maternal_period / config.period_ratio,
                                 config.period_jitter)
     warps = [phase_from_events(ev1), phase_from_events(ev2)]
-    model = separation_model(config, warps, t_end)
+    model = separation_model(config, warps, t_end, t_start=float(t[0]))
 
     if config.data_csv:
-        series = load_series_csv(config.data_csv)
-        if "time" not in series or "value" not in series:
-            raise ConfigError("data_csv: expected 'time' and 'value' columns")
-        t = series["time"]
-        y = series["value"]
         truths = None
     else:
         draw = sample_prior(model, t, seed=config.seed + 1)
@@ -306,7 +328,7 @@ def run_separation1d(config):
         for j, name in enumerate(("maternal", "fetal")):
             metrics[f"snr_improvement_{name}_db"] = snr_improvement(
                 y, sep.means[j], truths[j])
-    if config.compare_oracle and config.n <= 3000:
+    if config.compare_oracle and t.size <= 3000:
         exact_means, _ = exact_separation_means(fitted, t, y)
         for j, name in enumerate(("maternal", "fetal")):
             rel = (np.linalg.norm(sep.means[j] - exact_means[j])
@@ -316,7 +338,7 @@ def run_separation1d(config):
     learned = {name: float(v) for name, v in
                zip(fitted.param_names, np.exp(fitted.theta))}
     report = RunReport(
-        kind="separation1d", n=config.n,
+        kind="separation1d", n=t.size,
         m_total=sum(c.grid.total_size for c in fitted.components),
         timings={"learning": t_learn, "separation": t_sep},
         metrics=metrics, learned=learned,
@@ -345,8 +367,9 @@ def run_sweep(config, n_values, m_axis_counts):
             model, x, draw.y, n_probes=sub.n_probes, seed=sub.seed,
             cg_tol=sub.cg_tol_inference, lanczos_steps=sub.lanczos_steps,
             with_gradient=False, operator=op))
-        rep = cg_solve(op.matvec, draw.y, tol=sub.cg_tol_inference)
-        err = rmse(op.matvec_no_noise(rep.x), draw.latent)
+        sep = separate(model, x, draw.y, cg_tol=sub.cg_tol_inference,
+                       operator=op)
+        err = rmse(sum(sep.means), draw.latent)
         rows_n["n"].append(n)
         rows_n["time_inference_s"].append(t_inf)
         rows_n["time_nlml_s"].append(t_nlml)

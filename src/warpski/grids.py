@@ -291,11 +291,3 @@ def interpolation_weights(grid, points):
         (weights.ravel(), cols.ravel(), indptr),
         shape=(n, int(np.prod(shape))))
     return InterpWeights(mat, shape)
-
-
-def w_matvec(weights, v):
-    return weights.matvec(v)
-
-
-def w_rmatvec(weights, v):
-    return weights.rmatvec(v)

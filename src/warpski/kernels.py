@@ -176,20 +176,15 @@ class Periodic(Kernel):
         return np.stack([d_amp, d_len, d_per])
 
 
-class Sum(Kernel):
-    """Sum of kernels of equal arity; parameters are concatenated."""
-
-    kind = "sum"
+class _Composite(Kernel):
+    """Kernel built from ``children`` whose parameters it concatenates."""
 
     def __init__(self, children):
         children = list(children)
         if not children:
-            raise ValueError("Sum requires at least one child kernel")
-        arity = children[0].arity
-        if any(c.arity != arity for c in children):
-            raise DimensionMismatchError("Sum children must share arity")
+            raise ValueError(
+                f"{type(self).__name__} requires at least one child kernel")
         self.children = children
-        self.arity = arity
 
     @property
     def params(self):
@@ -208,6 +203,19 @@ class Sum(Kernel):
         if pos != log_params.size:
             raise DimensionMismatchError("wrong number of parameters")
         return out
+
+
+class Sum(_Composite):
+    """Sum of kernels of equal arity; parameters are concatenated."""
+
+    kind = "sum"
+
+    def __init__(self, children):
+        super().__init__(children)
+        arity = self.children[0].arity
+        if any(c.arity != arity for c in self.children):
+            raise DimensionMismatchError("Sum children must share arity")
+        self.arity = arity
 
     def with_log_params(self, log_params):
         parts = self._split(log_params)
@@ -220,7 +228,7 @@ class Sum(Kernel):
         return np.concatenate([c.grad(tau) for c in self.children])
 
 
-class Product(Kernel):
+class Product(_Composite):
     """Product of kernels, optionally across distinct input dimensions.
 
     ``dims[i]`` is the input dimension that child ``i`` acts on; when all
@@ -231,9 +239,8 @@ class Product(Kernel):
     kind = "product"
 
     def __init__(self, children, dims=None):
-        children = list(children)
-        if not children:
-            raise ValueError("Product requires at least one child kernel")
+        super().__init__(children)
+        children = self.children
         if any(c.arity != 1 for c in children):
             raise DimensionMismatchError("Product children must be 1-D kernels")
         if dims is None:
@@ -244,27 +251,8 @@ class Product(Kernel):
         ndim = max(dims) + 1
         if sorted(set(dims)) != list(range(ndim)):
             raise DimensionMismatchError("dims must cover 0..D-1 without gaps")
-        self.children = children
         self.dims = dims
         self.arity = ndim
-
-    @property
-    def params(self):
-        names, logs = [], []
-        for i, c in enumerate(self.children):
-            names.extend(f"{i}.{n}" for n in c.param_names)
-            logs.append(c.log_params)
-        return Hyperparameters(names, log_values=np.concatenate(logs))
-
-    def _split(self, log_params):
-        log_params = np.asarray(log_params, dtype=float)
-        out, pos = [], 0
-        for c in self.children:
-            out.append(log_params[pos:pos + c.n_params])
-            pos += c.n_params
-        if pos != log_params.size:
-            raise DimensionMismatchError("wrong number of parameters")
-        return out
 
     def _with_children(self, children):
         return Product(children, self.dims)

@@ -6,7 +6,7 @@ deterministic given their seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -27,8 +27,10 @@ def cg_solve(apply, y, tol=1e-8, max_iter=None, x0=None):
     """Linear conjugate gradients for a symmetric PSD operator.
 
     Stops when the relative residual ||Kx - y|| / ||y|| drops below
-    ``tol``. On iteration exhaustion the report carries
-    ``converged=False``; the caller decides severity.
+    ``tol``. On iteration exhaustion, on a non-finite right-hand side and
+    when the curvature p^T K p or the residual turns non-positive or
+    non-finite, the report carries ``converged=False`` (residual ``nan``
+    for a non-finite ``y``); the caller decides severity.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -37,6 +39,8 @@ def cg_solve(apply, y, tol=1e-8, max_iter=None, x0=None):
     ynorm = np.linalg.norm(y)
     if ynorm == 0.0:
         return CgReport(np.zeros(n), 0, 0.0, True)
+    if not np.isfinite(ynorm):
+        return CgReport(np.zeros(n), 0, float("nan"), False)
     if x0 is None:
         x = np.zeros(n)
         r = y.copy()
@@ -51,12 +55,14 @@ def cg_solve(apply, y, tol=1e-8, max_iter=None, x0=None):
             return CgReport(x, it, float(np.sqrt(rs) / ynorm), True)
         kp = apply(p)
         denom = p @ kp
-        if denom <= 0.0:
+        if not 0.0 < denom < np.inf:
             break
         alpha = rs / denom
         x = x + alpha * p
         r = r - alpha * kp
         rs_new = r @ r
+        if not np.isfinite(rs_new):
+            break
         p = r + (rs_new / rs) * p
         rs = rs_new
         it += 1
@@ -94,7 +100,7 @@ class LanczosFactor:
         return vals, vecs
 
 
-def lanczos(apply, start_vector, k, keep_basis=True, breakdown_tol=1e-12):
+def lanczos(apply, start_vector, k, breakdown_tol=1e-12):
     """Lanczos tridiagonalization with full reorthogonalization.
 
     Stops early on breakdown (beta ~ 0), which signals an invariant
@@ -136,76 +142,29 @@ def lanczos(apply, start_vector, k, keep_basis=True, breakdown_tol=1e-12):
     return LanczosFactor(
         alphas=alphas[:steps],
         betas=betas[:max(steps - 1, 0)],
-        basis=basis[:, :steps] if keep_basis else None,
+        basis=basis[:, :steps],
         steps=steps)
 
 
-def _probe_log_quadrature(apply, z, k):
-    """Gauss quadrature of log over one probe's Lanczos tridiagonal."""
-    factor = lanczos(apply, z, k, keep_basis=True)
-    vals, vecs = factor.ritz()
-    if np.any(vals <= 0.0):
-        raise NotPositiveDefiniteError(
-            f"nonpositive Ritz value {vals.min():.3e}; the operator is not "
-            "positive definite (consider a noise/jitter floor)")
-    weights = vecs[0, :] ** 2
-    znorm2 = float(z @ z)
-    return znorm2 * float(weights @ np.log(vals)), factor
-
-
-def slq_logdet(apply, n, probes, k):
+def slq_logdet(apply, probes, k):
     """Stochastic Lanczos quadrature estimate of log|K|.
 
-    Averages per-probe Gauss quadratures of log over the Rademacher
-    probe set; deterministic given the probe seed.
+    Averages per-probe Gauss quadratures of log over the Rademacher probe
+    set; deterministic given the probe seed. Returns ``(logdet, factors)``
+    where ``factors`` holds each probe's Lanczos factor with its basis,
+    from which the projected gradient is taken. Raises
+    ``NotPositiveDefiniteError`` on a nonpositive Ritz value.
     """
-    total = 0.0
-    for i in range(probes.count):
-        est, _ = _probe_log_quadrature(apply, probes.vectors[:, i], k)
-        total += est
-    return total / probes.count
-
-
-def slq_logdet_with_factors(apply, probes, k):
-    """As :func:`slq_logdet` but also returns the per-probe factors."""
     total = 0.0
     factors = []
     for i in range(probes.count):
-        est, factor = _probe_log_quadrature(apply, probes.vectors[:, i], k)
-        total += est
+        z = probes.vectors[:, i]
+        factor = lanczos(apply, z, k)
+        vals, vecs = factor.ritz()
+        if np.any(vals <= 0.0):
+            raise NotPositiveDefiniteError(
+                f"nonpositive Ritz value {vals.min():.3e}; the operator is "
+                "not positive definite (consider a noise/jitter floor)")
+        total += float(z @ z) * float(vecs[0, :] ** 2 @ np.log(vals))
         factors.append(factor)
     return total / probes.count, factors
-
-
-def slq_nlml_gradient(op, y, alpha, probes, cg_tol=1e-8, max_iter=None,
-                      param_indices=None):
-    """Stochastic gradient of y^T K^{-1} y + log|K| w.r.t. log-parameters.
-
-    The data term is -alpha^T (dK/dtheta) alpha with ``alpha = K^{-1} y``
-    supplied by the caller; the trace term estimates
-    trace(K^{-1} dK/dtheta) as the probe mean of z^T K^{-1} (dK/dtheta) z,
-    solving K^{-1} z by CG at the same tolerance. Returns the gradient and
-    a list of CG reports for the probe solves.
-    """
-    if param_indices is None:
-        param_indices = range(op.n_params)
-    param_indices = list(param_indices)
-    alpha = np.asarray(alpha, dtype=float)
-    grad = np.zeros(len(param_indices))
-    reports = []
-    solves = []
-    for i in range(probes.count):
-        z = probes.vectors[:, i]
-        rep = cg_solve(op.matvec, z, tol=cg_tol, max_iter=max_iter)
-        reports.append(rep)
-        solves.append(rep.x)
-    for j, idx in enumerate(param_indices):
-        dk_alpha = op.derivative_matvec(idx, alpha)
-        data_term = -float(alpha @ dk_alpha)
-        trace_term = 0.0
-        for i in range(probes.count):
-            z = probes.vectors[:, i]
-            trace_term += float(solves[i] @ op.derivative_matvec(idx, z))
-        trace_term /= probes.count
-        grad[j] = data_term + trace_term
-    return grad, reports

@@ -8,21 +8,19 @@ with conjugate gradients and stochastic Lanczos quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .exceptions import DimensionMismatchError, NotPositiveDefiniteError
+from .exceptions import (DimensionMismatchError, NonFiniteInputError,
+                         NotPositiveDefiniteError)
 from .grids import InducingGrid, interpolation_weights
 from .kernels import Kernel, dense_matrix
-from .krylov import (CgReport, ProbeSet, cg_solve, slq_logdet_with_factors,
-                     slq_nlml_gradient)
-from .operators import (MixtureOperator, build_component,
-                        decompose_separable, warp_points)
+from .krylov import CgReport, ProbeSet, cg_solve, slq_logdet
+from .operators import MixtureOperator, build_component, warp_points
 from .structured import KronEigen, SymToeplitz
-from .kernels import toeplitz_column
 from .warping import Warp
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -199,15 +197,16 @@ def _projected_trace_gradient(op, factors, param_indices):
 
 
 def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
-                lanczos_steps=30, gradient_method="projected",
-                with_gradient=True, operator=None):
+                lanczos_steps=30, with_gradient=True, operator=None):
     """Approximate NLML via CG and stochastic Lanczos quadrature.
 
-    Deterministic given ``seed``. ``gradient_method`` is ``"projected"``
-    (derivative of the seeded quadrature estimate itself; internally
-    consistent with finite differences of the returned value) or
-    ``"standard"`` (plain stochastic trace estimator
-    mean_z z^T K^{-1} dK z). Returns ``(value, gradient, diagnostics)``.
+    Deterministic given ``seed``. The data term comes from one CG solve,
+    the log-determinant from :func:`slq_logdet` over ``n_probes``
+    Rademacher probes of ``lanczos_steps`` steps each. The gradient is the
+    projected one: the derivative of the seeded quadrature estimate
+    itself, so it is consistent with finite differences of the returned
+    value. Returns ``(value, gradient, diagnostics)``; ``gradient`` is
+    ``None`` when ``with_gradient`` is false.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -215,14 +214,13 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     probes = ProbeSet.draw(n, n_probes, seed)
     rep = cg_solve(op.matvec, y, tol=cg_tol)
     alpha = rep.x
-    logdet, factors = slq_logdet_with_factors(op.matvec, probes, lanczos_steps)
+    logdet, factors = slq_logdet(op.matvec, probes, lanczos_steps)
     value = 0.5 * (float(y @ alpha) + logdet + n * LOG_2PI)
     diagnostics = {
         "cg_iterations": rep.iterations,
         "cg_converged": rep.converged,
         "cg_residual": rep.residual,
         "logdet": logdet,
-        "probe_cg_warnings": 0,
     }
     if not with_gradient:
         return value, None, diagnostics
@@ -230,16 +228,7 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     data_term = np.zeros(len(indices))
     for j, idx in enumerate(indices):
         data_term[j] = -float(alpha @ op.derivative_matvec(idx, alpha))
-    if gradient_method == "projected":
-        trace_term = _projected_trace_gradient(op, factors, indices)
-    elif gradient_method == "standard":
-        g, reports = slq_nlml_gradient(op, y, alpha, probes, cg_tol=cg_tol,
-                                       param_indices=indices)
-        trace_term = g - data_term
-        diagnostics["probe_cg_warnings"] = sum(
-            0 if r.converged else 1 for r in reports)
-    else:
-        raise ValueError(f"unknown gradient_method {gradient_method!r}")
+    trace_term = _projected_trace_gradient(op, factors, indices)
     grad = 0.5 * (data_term + trace_term)
     return value, grad, diagnostics
 
@@ -270,16 +259,29 @@ class FitResult:
     flag: str
 
 
+def _check_finite(name, values):
+    """Raise naming ``name`` and the first point index holding nan/inf."""
+    bad = ~np.isfinite(np.atleast_1d(np.asarray(values, dtype=float)))
+    if np.any(bad):
+        index = int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
+        raise NonFiniteInputError(f"{name}: non-finite value at index {index}")
+
+
 def fit(model, x, y, max_steps=100, seed=0, objective="approx",
-        hyperpriors=None, n_probes=20, cg_tol=1e-2, lanczos_steps=30,
-        gradient_method="projected", refresh_probes=False):
+        hyperpriors=None, n_probes=20, cg_tol=1e-2, lanczos_steps=30):
     """Learn free hyperparameters by quasi-Newton NLML minimization.
 
-    The probe seed is frozen for the whole fit so the stochastic
-    objective is a deterministic surrogate (set ``refresh_probes`` to
-    re-randomize per evaluation). Fixed-masked parameters never change.
-    Returns the best-so-far model even when the line search fails.
+    ``objective`` is ``"approx"`` (:func:`approx_nlml` with its projected
+    gradient) or ``"exact"`` (:func:`exact_nlml`). The probe seed is
+    frozen for the whole fit, so the stochastic objective is a
+    deterministic surrogate. Fixed-masked parameters never change.
+    Non-finite ``x`` or ``y`` raise ``NonFiniteInputError``. Returns the
+    best-so-far model even when the line search fails, and the start
+    model with ``value=nan`` and flag ``"no_finite_evaluation"`` when no
+    evaluation was finite and positive definite.
     """
+    _check_finite("x", x)
+    _check_finite("y", y)
     free = model.free_indices()
     if free.size == 0:
         return FitResult(model=model, value=np.nan, trace=[],
@@ -296,11 +298,9 @@ def fit(model, x, y, max_steps=100, seed=0, objective="approx",
             if objective == "exact":
                 value, grad = exact_nlml(m, x, y)
             else:
-                probe_seed = seed + state["evals"] if refresh_probes else seed
                 value, grad, _ = approx_nlml(
-                    m, x, y, n_probes=n_probes, seed=probe_seed,
-                    cg_tol=cg_tol, lanczos_steps=lanczos_steps,
-                    gradient_method=gradient_method)
+                    m, x, y, n_probes=n_probes, seed=seed,
+                    cg_tol=cg_tol, lanczos_steps=lanczos_steps)
         except NotPositiveDefiniteError:
             # numerically indefinite at this point; make the line search
             # back off rather than aborting the whole fit
@@ -321,6 +321,10 @@ def fit(model, x, y, max_steps=100, seed=0, objective="approx",
     result = scipy.optimize.minimize(
         objective_fn, theta0[free], jac=True, method="L-BFGS-B",
         options={"maxiter": max_steps})
+    if state["best"] is None:
+        return FitResult(model=model, value=np.nan, trace=state["trace"],
+                         n_evaluations=state["evals"],
+                         flag="no_finite_evaluation")
     best_value, best_theta = state["best"]
     if result.fun <= best_value:
         best_value = float(result.fun)
@@ -392,33 +396,28 @@ def sample_prior(model, x, seed):
     """Draw from the approximate prior using Kronecker eigen square roots.
 
     Each component draws u ~ N(0, K_UU) through per-factor symmetric
-    square roots and interpolates f = W u to the data points; targets add
-    white noise at the model's noise level.
+    square roots of its ``kuu`` factors and interpolates f = W u to the
+    data points with its ``weights``; targets add white noise at the
+    model's noise level.
     """
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     latents = []
     for c in model.components:
-        factors = []
-        for (kd, _), ax in zip(decompose_separable(c.kernel, c.grid.ndim),
-                               c.grid.axes):
-            factors.append(SymToeplitz(toeplitz_column(kd, ax)))
+        comp = build_component(c.kernel, c.warp, c.grid, x)
         try:
-            eig = KronEigen(factors)
+            eig = KronEigen(comp.kuu.factors)
         except NotPositiveDefiniteError:
             # jitter-and-retry once
             jittered = []
-            for f in factors:
+            for f in comp.kuu.factors:
                 col = f.first_column.copy()
                 col[0] += 1e-10 * max(col[0], 1.0)
                 jittered.append(SymToeplitz(col))
             eig = KronEigen(jittered)
-        root = eig.sqrt_operator()
-        u = root.matvec(rng.standard_normal(c.grid.total_size))
-        z = warp_points(c.warp, x, c.grid.ndim)
-        w = interpolation_weights(c.grid, z)
-        latents.append(w.matvec(u))
+        u = eig.sqrt_operator().matvec(rng.standard_normal(c.grid.total_size))
+        latents.append(comp.weights.matvec(u))
     latent = np.sum(latents, axis=0) if latents else np.zeros(n)
     y = latent + model.noise * rng.standard_normal(n)
     return PriorSample(latents=latents, latent=latent, y=y)

@@ -203,13 +203,6 @@ class MixtureOperator:
             out = out + c.matvec(v)
         return out
 
-    def matvec_no_noise(self, v):
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        for c in self.components:
-            out = out + c.matvec(v)
-        return out
-
     def derivative_matvec(self, index, v):
         """(dK / d log theta_index) v; the noise entry gives 2 sigma^2 v."""
         owner = self.param_owner(index)

@@ -64,15 +64,6 @@ class SymToeplitz:
         return scipy.linalg.toeplitz(self.first_column)
 
 
-def toeplitz_matvec(t, v):
-    """Functional wrapper around :meth:`SymToeplitz.matvec`."""
-    return t.matvec(v)
-
-
-def _factor_shape(f):
-    return f.shape
-
-
 def _apply_factor(f, mat):
     if isinstance(f, SymToeplitz):
         return f.matmat(mat)
@@ -98,11 +89,11 @@ class KronOperator:
         if not factors:
             raise DimensionMismatchError("need at least one factor")
         for f in factors:
-            s = _factor_shape(f)
+            s = f.shape
             if len(s) != 2 or s[0] != s[1]:
                 raise DimensionMismatchError("factors must be square")
         self.factors = factors
-        self.sizes = tuple(_factor_shape(f)[0] for f in factors)
+        self.sizes = tuple(f.shape[0] for f in factors)
         n = int(np.prod(self.sizes))
         self.shape = (n, n)
 
@@ -133,17 +124,12 @@ class KronOperator:
         return out
 
 
-def kron_matvec(factors, v):
-    """MVM with a Kronecker product given as a factor list."""
-    op = factors if isinstance(factors, KronOperator) else KronOperator(factors)
-    return op.matvec(v)
-
-
 class KronEigen:
-    """Per-factor eigendecomposition of a Kronecker-structured SPD matrix.
+    """Per-factor eigendecomposition of a Kronecker-structured PSD matrix.
 
-    Enables direct solves with (K + sigma^2 I) and exact log-determinants
-    at desk scale (each factor is densified and decomposed).
+    Each factor is densified and decomposed (desk scale); a factor with an
+    eigenvalue below ``-psd_rtol`` times its largest raises
+    ``NotPositiveDefiniteError``. Used for prior sampling.
     """
 
     def __init__(self, factors, psd_rtol=PSD_RTOL):
@@ -159,53 +145,9 @@ class KronEigen:
                     f"-{psd_rtol:g} * max")
             self.eigvals.append(np.maximum(vals, 0.0))
             self.eigvecs.append(vecs)
-        self.sizes = tuple(len(v) for v in self.eigvals)
-        n = int(np.prod(self.sizes))
-        self.shape = (n, n)
-        # Global eigenvalues are products of per-factor eigenvalues,
-        # flattened in the shared C-order convention.
-        lam = self.eigvals[0]
-        for v in self.eigvals[1:]:
-            lam = np.multiply.outer(lam, v)
-        self.global_eigvals = lam.ravel(order=INDEX_ORDER)
 
-    def _q(self):
-        return KronOperator(self.eigvecs)
-
-    def _qt(self):
-        return KronOperator([q.T for q in self.eigvecs])
-
-    def solve(self, sigma2, y):
-        """x = (K + sigma^2 I)^{-1} y via the eigenbasis."""
-        if sigma2 < 0:
-            raise ValueError("sigma2 must be non-negative")
-        w = self._qt().matvec(y)
-        denom = self.global_eigvals + sigma2
-        if np.any(denom <= 0.0):
-            raise NotPositiveDefiniteError("K + sigma^2 I is singular")
-        if w.ndim == 2:
-            w = w / denom[:, None]
-        else:
-            w = w / denom
-        return self._q().matvec(w)
-
-    def logdet(self, sigma2):
-        """log |K + sigma^2 I| from the global eigenvalues."""
-        denom = self.global_eigvals + sigma2
-        if np.any(denom <= 0.0):
-            raise NotPositiveDefiniteError("K + sigma^2 I is singular")
-        return float(np.sum(np.log(denom)))
-
-    def sqrt_operator(self, clip=0.0):
+    def sqrt_operator(self):
         """KronOperator A with A A^T = K, for prior sampling."""
-        roots = [q * np.sqrt(np.maximum(v, clip))[None, :]
+        roots = [q * np.sqrt(v)[None, :]
                  for q, v in zip(self.eigvecs, self.eigvals)]
         return KronOperator(roots)
-
-
-def kron_eigen_solve(eig, sigma2, y):
-    return eig.solve(sigma2, y)
-
-
-def kron_eigen_logdet(eig, sigma2):
-    return eig.logdet(sigma2)

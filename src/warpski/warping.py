@@ -176,14 +176,6 @@ class PiecewiseLinearPhase(Warp1D):
     def _forward_raw(self, x):
         return self._interp_extrap(x, self.knot_times, self.knot_phases)
 
-    @property
-    def image(self):
-        lo, hi = self.domain
-        if np.isinf(lo) or np.isinf(hi):
-            return (-np.inf, np.inf)
-        return (float(self._forward_raw(np.asarray(lo))),
-                float(self._forward_raw(np.asarray(hi))))
-
     def inverse(self, z):
         z = self._check_image(np.asarray(z, dtype=float))
         return self._interp_extrap(z, self.knot_phases, self.knot_times)

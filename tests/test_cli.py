@@ -58,9 +58,16 @@ class TestCsvIo:
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1.0,2.0\n3.0,oops\n")
-        with pytest.raises(CsvFormatError, match="line 3"):
-            load_series_csv(str(path))
+        for loader, text, match in [
+                (load_series_csv, "a,b\n1.0,2.0\n3.0,oops\n", "line 3"),
+                (load_series_csv, "a,b\n1.0,2.0\n3.0,nan\n",
+                 "line 3: column 'b'"),
+                (load_series_csv, "a,b\n1.0,2.0\n-inf,4.0\n",
+                 "line 3: column 'a'"),
+                (load_events_csv, "time\n0.5\ninf\n", "line 3: column 1")]:
+            path.write_text(text)
+            with pytest.raises(CsvFormatError, match=match):
+                loader(str(path))
 
     def test_events_csv_with_optional_header(self, tmp_path):
         path = tmp_path / "ev.csv"
@@ -135,10 +142,18 @@ class TestExperimentConfig:
 
     def test_invalid_values_rejected(self):
         from warpski.experiments import ExperimentConfig
-        with pytest.raises(ConfigError, match="noise"):
-            ExperimentConfig.from_dict({"noise": -1.0})
-        with pytest.raises(ConfigError, match="n:"):
-            ExperimentConfig.from_dict({"n": 0})
+        for data, match in [
+                ({"noise": -1.0}, "noise"),
+                ({"n": 0}, "n:"),
+                ({"dt": 0.0}, "dt:"),
+                ({"amplitudes": [1.0]}, "amplitudes:"),
+                ({"amplitudes": [1.0, 0.4, 0.2]}, "amplitudes:"),
+                ({"amplitudes": [1.0, -0.4]}, "amplitudes:"),
+                ({"grid_counts": [100]}, "grid_counts:"),
+                ({"grid_counts": [100, 7]}, "grid_counts:"),
+                ({"sample_grid_counts": [4, 160]}, "sample_grid_counts:")]:
+            with pytest.raises(ConfigError, match=match):
+                ExperimentConfig.from_dict(data)
 
 
 class TestCliSmoke:
@@ -191,6 +206,28 @@ class TestCliSmoke:
         assert (out / "separated" / "sources.csv").exists()
         cols = load_series_csv(str(out / "separated" / "sources.csv"))
         assert {"time", "y", "mean_maternal", "mean_fetal"} <= set(cols)
+
+    def test_separate_sizes_from_data(self, tmp_path, capsys):
+        # a 10 s series starting before 0, far longer than the configured
+        # n * dt = 0.4 s
+        t = np.linspace(-2.0, 8.0, 400)
+        data = tmp_path / "series.csv"
+        save_columns_csv(str(data), {"time": t, "value": np.sin(7.4 * t)})
+        out = tmp_path / "sep"
+        code = main(["separate", "--data", str(data), "--n", "200",
+                     "--max-steps", "1", "--n-probes", "2",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "n: 400" in captured.out.splitlines()
+        cols = load_series_csv(str(out / "separated" / "sources.csv"))
+        np.testing.assert_array_equal(cols["time"], t)
+        assert np.all(np.isfinite(cols["mean_fetal"]))
+
+        data.write_text("time,value\n0.0,1.0\n0.5,2.0\n0.4,0.0\n")
+        assert main(["separate", "--data", str(data), "--max-steps", "1",
+                     "--n-probes", "2"]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
 
     @staticmethod
     def _small_config(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import warpski.model
+from warpski.exceptions import NonFiniteInputError, NotPositiveDefiniteError
 from warpski.grids import grid_covering_box
 from warpski.kernels import Periodic, SquaredExponential
 from warpski.model import (GpComponent, GpModel, LogNormalPrior, approx_nlml,
@@ -115,17 +117,6 @@ class TestApproxNlml:
             fd = (up - dn) / (2 * eps)
             assert grad[p] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
-    def test_standard_gradient_available(self):
-        x, y = _data(150)
-        m = _model_1d()
-        _, g1, _ = approx_nlml(m, x, y, gradient_method="standard",
-                               n_probes=50, cg_tol=1e-10)
-        _, g2, _ = approx_nlml(m, x, y, gradient_method="projected",
-                               n_probes=50, cg_tol=1e-10, lanczos_steps=50)
-        # the two estimators approximate the same gradient
-        cos = g1 @ g2 / (np.linalg.norm(g1) * np.linalg.norm(g2))
-        assert cos > 0.99
-
 
 class TestFit:
     def test_recovers_amplitude_on_synthetic_draw(self):
@@ -166,6 +157,35 @@ class TestFit:
                     hyperpriors=[LogNormalPrior(0, mode=5.0, log_std=0.01)])
         assert np.exp(tight.model.theta[0]) > np.exp(loose.model.theta[0])
 
+    def test_rejects_nonfinite_data_naming_field_and_index(self):
+        m = _model_1d()
+        x, y = _data(50)
+        bad_y = y.copy()
+        bad_y[7] = np.nan
+        with pytest.raises(NonFiniteInputError, match="y: .* index 7"):
+            fit(m, x, bad_y, max_steps=2)
+        bad_x = x.copy()
+        bad_x[11] = np.inf
+        with pytest.raises(NonFiniteInputError, match="x: .* index 11"):
+            fit(m, bad_x, y, max_steps=2)
+
+    @pytest.mark.parametrize("failure", ["nan", "indefinite"])
+    def test_no_finite_evaluation_returns_start_model(self, monkeypatch,
+                                                      failure):
+        def broken(model, *args, **kwargs):
+            if failure == "indefinite":
+                raise NotPositiveDefiniteError("indefinite everywhere")
+            return np.nan, np.zeros(model.n_params), {}
+
+        monkeypatch.setattr(warpski.model, "approx_nlml", broken)
+        m = _model_1d()
+        x, y = _data(50)
+        result = fit(m, x, y, max_steps=3)
+        assert result.flag == "no_finite_evaluation"
+        assert np.isnan(result.value)
+        assert result.n_evaluations > 0
+        np.testing.assert_array_equal(result.model.theta, m.theta)
+
 
 class TestSeparate:
     def test_components_plus_noise_reconstruct_data(self):
@@ -184,6 +204,15 @@ class TestSeparate:
         for got, want in zip(sep.means, exact_means):
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel < 5e-2
+
+    def test_means_sum_to_operator_without_noise(self):
+        m = _two_component(noise=0.2)
+        x, y = _data(250)
+        op = build_operator(m, x)
+        sep = separate(m, x, y, cg_tol=1e-10, operator=op)
+        np.testing.assert_allclose(
+            op.matvec(sep.alpha) - sum(sep.means),
+            m.noise_variance * sep.alpha, rtol=1e-10, atol=1e-14)
 
     def test_flags_unconverged_solves(self):
         m = _two_component()

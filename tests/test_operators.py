@@ -122,13 +122,6 @@ class TestMixtureOperator:
         np.testing.assert_allclose(op.matvec(v), op.dense() @ v,
                                    rtol=1e-10, atol=1e-12)
 
-    def test_matvec_no_noise_omits_diagonal(self):
-        op, x = self._mixture()
-        rng = np.random.default_rng(5)
-        v = rng.normal(size=x.size)
-        np.testing.assert_allclose(op.matvec(v) - op.matvec_no_noise(v),
-                                   0.04 * v, rtol=1e-10, atol=1e-14)
-
     def test_param_layout_kernels_then_noise(self):
         op, _ = self._mixture()
         assert op.n_params == 2 + 3 + 1

@@ -1,0 +1,77 @@
+"""Property tests of the operator contract and the interpolation weights.
+
+Block Krylov methods apply an operator to ``(n, p)`` blocks, so a block
+product must equal the single-column products stacked side by side.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from warpski.grids import InducingGrid, grid_covering_box, interpolation_weights
+from warpski.kernels import Periodic, SquaredExponential
+from warpski.operators import MixtureOperator, build_component
+from warpski.structured import KronOperator, SymToeplitz
+from warpski.warping import Identity
+
+FAST = settings(max_examples=25, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+columns = st.integers(1, 6)
+
+
+def _assert_block_equals_columns(apply, block):
+    want = np.column_stack([apply(block[:, j]) for j in range(block.shape[1])])
+    got = apply(block)
+    assert got.shape == block.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+@FAST
+@given(m=st.integers(1, 70), p=columns, seed=seeds)
+def test_toeplitz_block_equals_stacked_columns(m, p, seed):
+    rng = np.random.default_rng(seed)
+    op = SymToeplitz(rng.normal(size=m))
+    _assert_block_equals_columns(op.matmat, rng.normal(size=(m, p)))
+
+
+@FAST
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3), p=columns,
+       seed=seeds)
+def test_kronecker_block_equals_stacked_columns(sizes, p, seed):
+    rng = np.random.default_rng(seed)
+    op = KronOperator([SymToeplitz(rng.normal(size=m)) for m in sizes])
+    _assert_block_equals_columns(op.matmat,
+                                 rng.normal(size=(op.shape[0], p)))
+
+
+@FAST
+@given(n=st.integers(1, 120), p=columns, seed=seeds)
+def test_mixture_block_equals_stacked_columns(n, p, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n)
+    grid = grid_covering_box([(-1.0, 1.0)], [int(rng.integers(12, 60))])
+    comps = [build_component(SquaredExponential(1.0, 0.3), Identity(), grid, x),
+             build_component(Periodic(0.7, 0.8, 0.5), Identity(), grid, x)]
+    op = MixtureOperator(comps, 0.04, n)
+    _assert_block_equals_columns(op.matvec, rng.normal(size=(n, p)))
+
+
+@FAST
+@given(ndim=st.integers(1, 3), uniform=st.booleans(), seed=seeds)
+def test_interpolation_rows_sum_to_one_with_4_pow_d_entries(ndim, uniform,
+                                                            seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(8, 16, size=ndim)
+    if uniform:
+        box = [tuple(np.sort(rng.uniform(-3.0, 3.0, 2))) for _ in range(ndim)]
+        grid = grid_covering_box(box, counts)
+    else:
+        grid = InducingGrid([np.cumsum(rng.uniform(0.2, 1.0, c))
+                             for c in counts])
+    # points strictly inside each axis's stencil-safe cells
+    points = np.column_stack([rng.uniform(a[1], a[-2], 50)
+                              for a in grid.axes])
+    w = interpolation_weights(grid, points)
+    assert np.all(np.diff(w.matrix.indptr) == 4 ** ndim)
+    np.testing.assert_allclose(w.matrix.sum(axis=1).A1, 1.0, atol=1e-12)
