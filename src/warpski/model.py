@@ -179,7 +179,16 @@ def _projected_trace_gradient(op, factors, param_indices):
     Krylov subspace via the Daleckii-Krein formula on T's eigenbasis with
     B = Q^T dK Q. As the quadrature converges in k, this is the exact
     derivative of the estimated objective.
+
+    Each component's K_i = W_i K_UU W_i^T is differentiated on its grid:
+    with P_i = W_i^T Q formed once per probe for every component that owns
+    a listed parameter, B = sum over Kronecker terms of P_i^T (dK_UU P_i).
+    The noise parameter gives B = 2 sigma^2 Q^T Q.
     """
+    owners = [op.param_owner(idx) for idx in param_indices]
+    terms = [op.components[o[1]].derivative_operator(o[2])
+             if o[0] == "component" else None for o in owners]
+    projected = sorted({o[1] for o in owners if o[0] == "component"})
     grad = np.zeros(len(param_indices))
     for factor in factors:
         q = factor.basis
@@ -187,9 +196,13 @@ def _projected_trace_gradient(op, factors, param_indices):
         u = vecs[0, :]
         phi = _log_divided_difference(vals)
         znorm2 = float(op.n)  # Rademacher probes: ||z||^2 = n
-        for j, idx in enumerate(param_indices):
-            dkq = op.derivative_matvec(idx, q)
-            b = q.T @ dkq
+        proj = {i: op.components[i].weights.rmatvec(q) for i in projected}
+        for j, owner in enumerate(owners):
+            if owner[0] == "noise":
+                b = 2.0 * op.noise_variance * (q.T @ q)
+            else:
+                p = proj[owner[1]]
+                b = sum(p.T @ t.matmat(p) for t in terms[j])
             m = vecs.T @ b @ vecs
             grad[j] += znorm2 * float(u @ ((m * phi) @ u))
     grad /= len(factors)
@@ -205,8 +218,11 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     Rademacher probes of ``lanczos_steps`` steps each. The gradient is the
     projected one: the derivative of the seeded quadrature estimate
     itself, so it is consistent with finite differences of the returned
-    value. Returns ``(value, gradient, diagnostics)``; ``gradient`` is
-    ``None`` when ``with_gradient`` is false.
+    value. It is taken for ``model.free_indices()`` only: entries of
+    fixed parameters are not computed and are exactly 0, which is the
+    gradient of the objective ``fit`` minimises. Returns ``(value,
+    gradient, diagnostics)``; ``gradient`` is ``None`` when
+    ``with_gradient`` is false.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -224,12 +240,12 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     }
     if not with_gradient:
         return value, None, diagnostics
-    indices = list(range(op.n_params))
-    data_term = np.zeros(len(indices))
-    for j, idx in enumerate(indices):
-        data_term[j] = -float(alpha @ op.derivative_matvec(idx, alpha))
-    trace_term = _projected_trace_gradient(op, factors, indices)
-    grad = 0.5 * (data_term + trace_term)
+    free = model.free_indices()
+    data_term = np.array([-float(alpha @ op.derivative_matvec(idx, alpha))
+                          for idx in free])
+    trace_term = _projected_trace_gradient(op, factors, free)
+    grad = np.zeros(op.n_params)
+    grad[free] = 0.5 * (data_term + trace_term)
     return value, grad, diagnostics
 
 
@@ -252,11 +268,17 @@ class LogNormalPrior:
 
 @dataclass
 class FitResult:
+    """Fitted model, best objective value and the run's record.
+
+    ``cg_unconverged`` counts the evaluations whose CG solve for the data
+    term stopped short of ``cg_tol``.
+    """
     model: "GpModel"
     value: float
     trace: list
     n_evaluations: int
     flag: str
+    cg_unconverged: int = 0
 
 
 def _check_finite(name, values):
@@ -288,7 +310,7 @@ def fit(model, x, y, max_steps=100, seed=0, objective="approx",
                          n_evaluations=0, flag="no_free_parameters")
     hyperpriors = list(hyperpriors or [])
     theta0 = model.theta
-    state = {"best": None, "evals": 0, "trace": []}
+    state = {"best": None, "evals": 0, "trace": [], "cg_unconverged": 0}
 
     def objective_fn(free_theta):
         theta = theta0.copy()
@@ -298,9 +320,10 @@ def fit(model, x, y, max_steps=100, seed=0, objective="approx",
             if objective == "exact":
                 value, grad = exact_nlml(m, x, y)
             else:
-                value, grad, _ = approx_nlml(
+                value, grad, diag = approx_nlml(
                     m, x, y, n_probes=n_probes, seed=seed,
                     cg_tol=cg_tol, lanczos_steps=lanczos_steps)
+                state["cg_unconverged"] += not diag["cg_converged"]
         except NotPositiveDefiniteError:
             # numerically indefinite at this point; make the line search
             # back off rather than aborting the whole fit
@@ -324,7 +347,8 @@ def fit(model, x, y, max_steps=100, seed=0, objective="approx",
     if state["best"] is None:
         return FitResult(model=model, value=np.nan, trace=state["trace"],
                          n_evaluations=state["evals"],
-                         flag="no_finite_evaluation")
+                         flag="no_finite_evaluation",
+                         cg_unconverged=state["cg_unconverged"])
     best_value, best_theta = state["best"]
     if result.fun <= best_value:
         best_value = float(result.fun)
@@ -333,7 +357,7 @@ def fit(model, x, y, max_steps=100, seed=0, objective="approx",
     flag = "converged" if result.success else f"stopped: {result.message}"
     return FitResult(model=model.with_theta(best_theta), value=best_value,
                      trace=state["trace"], n_evaluations=state["evals"],
-                     flag=flag)
+                     flag=flag, cg_unconverged=state["cg_unconverged"])
 
 
 @dataclass

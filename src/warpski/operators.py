@@ -74,7 +74,11 @@ class SkiComponent:
         return self.weights.matvec(self.kuu.matvec(self.weights.rmatvec(v)))
 
     def derivative_operator(self, param_index):
-        """Kronecker-structured dK_UU / d log(theta_j) (sum over axes)."""
+        """Kronecker-structured dK_UU / d log(theta_j) (sum over axes).
+
+        One term per axis whose kernel owns the parameter; the other axes
+        reuse the factors of ``kuu``.
+        """
         terms = []
         for axis, ((kd, idx), ax) in enumerate(
                 zip(self.axis_kernels, self.grid.axes)):
@@ -83,13 +87,8 @@ class SkiComponent:
             local = idx.index(param_index)
             lags = ax - ax[0]
             dcol = kd.grad(lags)[local]
-            factors = []
-            for other_axis, ((ko, _), axo) in enumerate(
-                    zip(self.axis_kernels, self.grid.axes)):
-                if other_axis == axis:
-                    factors.append(SymToeplitz(dcol))
-                else:
-                    factors.append(SymToeplitz(toeplitz_column(ko, axo)))
+            factors = list(self.kuu.factors)
+            factors[axis] = SymToeplitz(dcol)
             terms.append(KronOperator(factors))
         return terms
 

@@ -13,7 +13,10 @@ from .exceptions import (DimensionMismatchError, MonotonicityError,
                          OutOfDomainError)
 
 _ROUNDTRIP_TOL = 1e-10
-_MONOTONE_SAMPLES = 1000
+# Roots of the derivative with an imaginary part below this (relative to
+# their modulus) count as real: a double root comes out of the companion
+# eigenvalues as a complex pair split by about sqrt(machine epsilon).
+_REAL_ROOT_RTOL = 1e-6
 
 
 class Warp:
@@ -93,8 +96,9 @@ class Polynomial1D(Warp1D):
 
     ``coeffs`` are in descending powers and the constant term is implied
     zero, so ``[2, 0, 1]`` is ``2 x^3 + x``. Strict monotonicity on the
-    (required, finite) domain is verified at construction by sampling the
-    derivative.
+    (required, finite) domain is verified exactly at construction: the
+    derivative has no real root in the closed domain and is positive at
+    its midpoint.
     """
 
     kind = "polynomial"
@@ -109,8 +113,12 @@ class Polynomial1D(Warp1D):
         self.coeffs = tuple(coeffs)
         self._poly = np.array(coeffs + [0.0])
         self._dpoly = np.polyder(self._poly)
-        xs = np.linspace(self.domain[0], self.domain[1], _MONOTONE_SAMPLES)
-        if np.any(np.polyval(self._dpoly, xs) <= 0.0):
+        lo, hi = self.domain
+        roots = np.roots(self._dpoly)
+        real = roots[np.abs(roots.imag)
+                     <= _REAL_ROOT_RTOL * np.maximum(np.abs(roots), 1.0)].real
+        if (np.any((real >= lo) & (real <= hi))
+                or np.polyval(self._dpoly, 0.5 * (lo + hi)) <= 0.0):
             raise MonotonicityError(
                 "polynomial derivative is not strictly positive over the domain")
 

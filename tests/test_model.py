@@ -4,12 +4,16 @@ import pytest
 import warpski.model
 from warpski.exceptions import NonFiniteInputError, NotPositiveDefiniteError
 from warpski.grids import grid_covering_box
-from warpski.kernels import Periodic, SquaredExponential
-from warpski.model import (GpComponent, GpModel, LogNormalPrior, approx_nlml,
+from warpski.kernels import Periodic, Product, SquaredExponential
+from warpski.krylov import ProbeSet, slq_logdet
+from warpski.model import (GpComponent, GpModel, LogNormalPrior,
+                           _log_divided_difference,
+                           _projected_trace_gradient, approx_nlml,
                            build_operator, dense_mixture_matrix,
                            exact_nlml, exact_separation_means, fit,
                            predict_mean, sample_prior, separate)
-from warpski.warping import Identity
+from warpski.operators import MixtureOperator
+from warpski.warping import ElementwiseWarp, Identity
 
 
 def _model_1d(noise=0.3, counts=128, amplitude=1.2, lengthscale=0.35):
@@ -18,10 +22,13 @@ def _model_1d(noise=0.3, counts=128, amplitude=1.2, lengthscale=0.35):
                                 Identity(), grid)], noise=noise)
 
 
-def _two_component(noise=0.2, counts=128):
+def _two_component(noise=0.2, counts=128, periodic_counts=None):
     grid = grid_covering_box([(-1.0, 1.0)], [counts])
+    periodic_grid = grid_covering_box([(-1.0, 1.0)],
+                                      [periodic_counts or counts])
     return GpModel([GpComponent(SquaredExponential(1.0, 0.3), Identity(), grid),
-                    GpComponent(Periodic(0.7, 0.8, 0.5), Identity(), grid)],
+                    GpComponent(Periodic(0.7, 0.8, 0.5), Identity(),
+                                periodic_grid)],
                    noise=noise)
 
 
@@ -30,6 +37,45 @@ def _data(n=300, seed=0):
     x = rng.uniform(-1.0, 1.0, n)
     y = np.sin(3 * x) + 0.3 * rng.standard_normal(n)
     return x, y
+
+
+def _model_2d(noise=0.3):
+    grid = grid_covering_box([(-1.0, 1.0), (-1.0, 1.0)], [20, 24])
+    kernel = Product([SquaredExponential(1.1, 0.4),
+                      SquaredExponential(0.9, 0.5)], dims=[0, 1])
+    return GpModel([GpComponent(kernel, ElementwiseWarp([Identity(),
+                                                         Identity()]),
+                                grid)], noise=noise)
+
+
+def _data_2d(n=200, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (n, 2))
+    y = np.sin(3 * x[:, 0]) * np.cos(2 * x[:, 1]) \
+        + 0.3 * rng.standard_normal(n)
+    return x, y
+
+
+def _reference_trace_gradient(op, factors):
+    """Loop form of the projected trace gradient over every parameter."""
+    grad = np.zeros(op.n_params)
+    for factor in factors:
+        q = factor.basis
+        vals, vecs = factor.ritz()
+        u = vecs[0, :]
+        phi = _log_divided_difference(vals)
+        for idx in range(op.n_params):
+            m = vecs.T @ (q.T @ op.derivative_matvec(idx, q)) @ vecs
+            grad[idx] += op.n * float(u @ ((m * phi) @ u))
+    return grad / len(factors)
+
+
+GRADIENT_CASES = {
+    "1d": (_model_1d, _data),
+    # distinct grids, so each component needs its own projection W_i^T Q
+    "two-component": (lambda: _two_component(periodic_counts=100), _data),
+    "2d": (_model_2d, _data_2d),
+}
 
 
 class TestGpModel:
@@ -118,6 +164,50 @@ class TestApproxNlml:
             assert grad[p] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
+class TestProjectedTraceGradient:
+    @pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+    def test_matches_loop_over_derivative_matvecs(self, case):
+        make_model, make_data = GRADIENT_CASES[case]
+        m = make_model()
+        x, _ = make_data(150)
+        op = build_operator(m, x)
+        _, factors = slq_logdet(op.matvec, ProbeSet.draw(op.n, 4, 0), 15)
+        want = _reference_trace_gradient(op, factors)
+        got = _projected_trace_gradient(op, factors, np.arange(op.n_params))
+        np.testing.assert_allclose(got, want, rtol=1e-10,
+                                   atol=1e-10 * np.abs(want).max())
+
+    @pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+    def test_fixed_entries_are_zero_and_free_ones_unchanged(self, case):
+        make_model, make_data = GRADIENT_CASES[case]
+        m = make_model()
+        x, y = make_data(150)
+        kwargs = dict(n_probes=4, seed=1, cg_tol=1e-10, lanczos_steps=15)
+        _, full, _ = approx_nlml(m, x, y, **kwargs)
+        m.fixed[::2] = True
+        _, grad, _ = approx_nlml(m, x, y, **kwargs)
+        assert np.all(grad[m.fixed] == 0.0)
+        free = m.free_indices()
+        np.testing.assert_allclose(grad[free], full[free], rtol=1e-10,
+                                   atol=1e-10 * np.abs(full).max())
+
+    def test_derivative_matvec_called_for_free_indices_only(self,
+                                                             monkeypatch):
+        calls = []
+        original = MixtureOperator.derivative_matvec
+
+        def counting(self, index, v):
+            calls.append(int(index))
+            return original(self, index, v)
+
+        monkeypatch.setattr(MixtureOperator, "derivative_matvec", counting)
+        m = _two_component()
+        m.fixed[[1, 2, 4]] = True
+        x, y = _data(150)
+        approx_nlml(m, x, y, n_probes=4, lanczos_steps=10)
+        assert sorted(calls) == m.free_indices().tolist()
+
+
 class TestFit:
     def test_recovers_amplitude_on_synthetic_draw(self):
         m_truth = _model_1d(amplitude=1.5, lengthscale=0.35, counts=256)
@@ -175,7 +265,7 @@ class TestFit:
         def broken(model, *args, **kwargs):
             if failure == "indefinite":
                 raise NotPositiveDefiniteError("indefinite everywhere")
-            return np.nan, np.zeros(model.n_params), {}
+            return np.nan, np.zeros(model.n_params), {"cg_converged": True}
 
         monkeypatch.setattr(warpski.model, "approx_nlml", broken)
         m = _model_1d()
@@ -185,6 +275,24 @@ class TestFit:
         assert np.isnan(result.value)
         assert result.n_evaluations > 0
         np.testing.assert_array_equal(result.model.theta, m.theta)
+
+
+    def test_counts_unconverged_cg_solves(self, monkeypatch):
+        real = warpski.model.approx_nlml
+        unconverged = []
+
+        def every_other_unconverged(*args, **kwargs):
+            value, grad, diag = real(*args, **kwargs)
+            unconverged.append(len(unconverged) % 2 == 0)
+            return value, grad, {**diag, "cg_converged": not unconverged[-1]}
+
+        monkeypatch.setattr(warpski.model, "approx_nlml",
+                            every_other_unconverged)
+        m = _model_1d()
+        x, y = _data(50)
+        result = fit(m, x, y, max_steps=3)
+        assert result.n_evaluations == len(unconverged) > 1
+        assert result.cg_unconverged == sum(unconverged)
 
 
 class TestSeparate:

@@ -2,21 +2,26 @@
 
 Block Krylov methods apply an operator to ``(n, p)`` blocks, so a block
 product must equal the single-column products stacked side by side.
+Toeplitz orders are drawn on both sides of ``DENSE_MAX_ORDER``, so the
+dense and the FFT branch of ``SymToeplitz`` are both covered.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpski.grids import InducingGrid, grid_covering_box, interpolation_weights
 from warpski.kernels import Periodic, SquaredExponential
 from warpski.operators import MixtureOperator, build_component
-from warpski.structured import KronOperator, SymToeplitz
+from warpski.structured import DENSE_MAX_ORDER, KronOperator, SymToeplitz
 from warpski.warping import Identity
 
 FAST = settings(max_examples=25, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
 columns = st.integers(1, 6)
+orders = st.one_of(st.integers(1, DENSE_MAX_ORDER),
+                   st.integers(DENSE_MAX_ORDER + 1, 400))
 
 
 def _assert_block_equals_columns(apply, block):
@@ -27,12 +32,49 @@ def _assert_block_equals_columns(apply, block):
                                atol=1e-12 * np.abs(want).max())
 
 
+def _assert_matches_dense(got, dense, v):
+    want = dense @ v
+    scale = np.abs(dense).sum(axis=1).max() * np.abs(v).max()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
 @FAST
-@given(m=st.integers(1, 70), p=columns, seed=seeds)
+@given(m=orders, p=columns, seed=seeds)
+@example(m=DENSE_MAX_ORDER, p=2, seed=0)
+@example(m=DENSE_MAX_ORDER + 1, p=2, seed=0)
 def test_toeplitz_block_equals_stacked_columns(m, p, seed):
     rng = np.random.default_rng(seed)
     op = SymToeplitz(rng.normal(size=m))
     _assert_block_equals_columns(op.matmat, rng.normal(size=(m, p)))
+
+
+@FAST
+@given(m=orders, p=columns, seed=seeds)
+@example(m=DENSE_MAX_ORDER, p=1, seed=0)
+@example(m=DENSE_MAX_ORDER + 1, p=1, seed=0)
+def test_toeplitz_matches_scipy_toeplitz(m, p, seed):
+    rng = np.random.default_rng(seed)
+    column = rng.normal(size=m)
+    v = rng.normal(size=(m, p))
+    _assert_matches_dense(SymToeplitz(column).matmat(v),
+                          scipy.linalg.toeplitz(column), v)
+
+
+@FAST
+@given(big=orders, small=st.lists(st.integers(1, 3), max_size=1),
+       first=st.booleans(), p=columns, seed=seeds)
+@example(big=DENSE_MAX_ORDER, small=[2], first=True, p=1, seed=0)
+@example(big=DENSE_MAX_ORDER + 1, small=[2], first=False, p=1, seed=0)
+def test_kronecker_matches_kron_of_dense_factors(big, small, first, p, seed):
+    rng = np.random.default_rng(seed)
+    sizes = [big] + small if first else small + [big]
+    cols = [rng.normal(size=m) for m in sizes]
+    dense = scipy.linalg.toeplitz(cols[0])
+    for c in cols[1:]:
+        dense = np.kron(dense, scipy.linalg.toeplitz(c))
+    op = KronOperator([SymToeplitz(c) for c in cols])
+    v = rng.normal(size=(op.shape[0], p))
+    _assert_matches_dense(op.matmat(v), dense, v)
 
 
 @FAST

@@ -44,6 +44,17 @@ class TestPolynomial1D:
         with pytest.raises(MonotonicityError):
             Polynomial1D([1.0, -3.0, 0.0], domain=(-2.0, 2.0))  # x^3 - 3x^2
 
+    def test_rejects_derivative_root_between_samples(self):
+        # x^3 - 1e-7 x decreases on |x| < 1.8e-4, between sample points
+        with pytest.raises(MonotonicityError):
+            Polynomial1D([1.0, 0.0, -1e-7], domain=(-1.0, 1.0))
+
+    def test_rejects_derivative_root_on_the_domain_edge(self):
+        # derivative 3 x^2 vanishes at the lower end of [0, 1]
+        with pytest.raises(MonotonicityError):
+            Polynomial1D([1.0, 0.0, 0.0], domain=(0.0, 1.0))
+        Polynomial1D([1.0, 0.0, 0.0], domain=(0.1, 1.0))
+
     def test_requires_finite_domain(self):
         with pytest.raises(ValueError):
             Polynomial1D([1.0], domain=None)
