@@ -9,7 +9,7 @@ from .grids import (InducingGrid, InterpWeights, build_grid,
 from .structured import KronEigen, KronOperator, SymToeplitz
 from .operators import MixtureOperator, SkiComponent, build_component
 from .krylov import (CgReport, LanczosFactor, ProbeSet, cg_solve, lanczos,
-                     slq_logdet)
+                     slq_logdet, slq_probes)
 from .model import (FitResult, GpComponent, GpModel, LogNormalPrior,
                     SeparationResult, approx_nlml, build_operator,
                     exact_nlml, fit, predict_mean, sample_prior, separate)

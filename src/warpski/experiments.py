@@ -71,7 +71,7 @@ class ExperimentConfig:
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
         if self.n <= 0:
             raise ConfigError("n: must be a positive integer")
-        if self.noise <= 0:
+        if not self.noise > 0:
             raise ConfigError("noise: must be positive")
         for name in ("cg_tol_inference", "cg_tol_separation"):
             if getattr(self, name) <= 0:
@@ -125,18 +125,18 @@ class RunReport:
         return out
 
 
-def _timeit(fn, repeats=3):
-    """Median wall time of ``fn`` over ``repeats`` runs after a warm-up."""
+def _timeit(fn):
+    """Median wall time of ``fn`` over 3 runs after a warm-up."""
     fn()
     times = []
-    for _ in range(repeats):
+    for _ in range(3):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
 
 
-def _write_report(config, report, extra_tables=None):
+def _write_report(config, report, extra_tables):
     if config.out_dir is None:
         return
     os.makedirs(config.out_dir, exist_ok=True)
@@ -147,7 +147,7 @@ def _write_report(config, report, extra_tables=None):
         for name, value in report.rows():
             fh.write(f"{name},{value!r}\n" if isinstance(value, str)
                      else f"{name},{value}\n")
-    for relpath, columns in (extra_tables or {}).items():
+    for relpath, columns in extra_tables.items():
         save_columns_csv(os.path.join(config.out_dir, relpath), columns)
 
 

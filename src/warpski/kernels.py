@@ -340,7 +340,7 @@ def toeplitz_column(kernel_1d, axis):
     return kernel_1d.eval(axis - axis[0])
 
 
-def check_equispaced(axis, rtol=EQUISPACED_RTOL):
+def check_equispaced(axis):
     """Validate uniform spacing, naming the first offending index."""
     axis = np.asarray(axis, dtype=float)
     d = np.diff(axis)
@@ -348,7 +348,7 @@ def check_equispaced(axis, rtol=EQUISPACED_RTOL):
         idx = int(np.argmax(d <= 0.0))
         raise NonEquispacedAxisError(f"axis not strictly increasing at index {idx + 1}")
     h = d.mean()
-    bad = np.abs(d - h) > rtol * max(abs(h), 1e-300)
+    bad = np.abs(d - h) > EQUISPACED_RTOL * max(abs(h), 1e-300)
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise NonEquispacedAxisError(
@@ -356,16 +356,13 @@ def check_equispaced(axis, rtol=EQUISPACED_RTOL):
     return h
 
 
-def dense_matrix(kernel, x1, x2=None):
-    """Dense kernel matrix over point sets (rows x1, columns x2)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = x1 if x2 is None else np.asarray(x2, dtype=float)
+def dense_matrix(kernel, x):
+    """Dense kernel matrix over the point set ``x``."""
+    x = np.asarray(x, dtype=float)
     if kernel.arity == 1:
-        a = x1.reshape(-1)
-        b = x2.reshape(-1)
-        return kernel.eval(a[:, None] - b[None, :])
-    a = x1.reshape(len(x1), -1)
-    b = x2.reshape(len(x2), -1)
-    if a.shape[1] != kernel.arity or b.shape[1] != kernel.arity:
+        a = x.reshape(-1)
+        return kernel.eval(a[:, None] - a[None, :])
+    a = x.reshape(len(x), -1)
+    if a.shape[1] != kernel.arity:
         raise DimensionMismatchError("point dimension does not match kernel arity")
-    return kernel.eval(a[:, None, :] - b[None, :, :])
+    return kernel.eval(a[:, None, :] - a[None, :, :])

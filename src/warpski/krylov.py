@@ -86,7 +86,11 @@ class ProbeSet:
 
 @dataclass
 class LanczosFactor:
-    """Tridiagonal Lanczos factorization with (optional) stored basis."""
+    """Lanczos tridiagonal and its ``(n, steps)`` basis.
+
+    :func:`lanczos` always stores the basis; it is ``None`` only in a
+    factor that a caller builds from the tridiagonal alone.
+    """
     alphas: np.ndarray
     betas: np.ndarray
     basis: np.ndarray | None
@@ -100,11 +104,11 @@ class LanczosFactor:
         return vals, vecs
 
 
-def lanczos(apply, start_vector, k, breakdown_tol=1e-12):
+def lanczos(apply, start_vector, k):
     """Lanczos tridiagonalization with full reorthogonalization.
 
-    Stops early on breakdown (beta ~ 0), which signals an invariant
-    subspace and truncates the factor benignly.
+    Stops early on breakdown (beta <= 1e-12 |alpha_0|), which signals an
+    invariant subspace and truncates the factor benignly.
     """
     v = np.asarray(start_vector, dtype=float)
     norm = np.linalg.norm(v)
@@ -112,12 +116,10 @@ def lanczos(apply, start_vector, k, breakdown_tol=1e-12):
         raise ValueError("start vector must be nonzero")
     n = v.size
     k = min(int(k), n)
-    q = v / norm
     basis = np.zeros((n, k))
     alphas = np.zeros(k)
     betas = np.zeros(max(k - 1, 0))
-    basis[:, 0] = q
-    scale = None
+    basis[:, 0] = v / norm
     steps = 0
     for j in range(k):
         w = apply(basis[:, j])
@@ -130,12 +132,10 @@ def lanczos(apply, start_vector, k, breakdown_tol=1e-12):
         w = w - active @ (active.T @ w)
         w = w - active @ (active.T @ w)
         steps = j + 1
-        if scale is None:
-            scale = max(abs(alphas[0]), 1e-300)
         if j == k - 1:
             break
         beta = np.linalg.norm(w)
-        if beta <= breakdown_tol * scale:
+        if beta <= 1e-12 * max(abs(alphas[0]), 1e-300):
             break
         betas[j] = beta
         basis[:, j + 1] = w / beta
@@ -146,17 +146,14 @@ def lanczos(apply, start_vector, k, breakdown_tol=1e-12):
         steps=steps)
 
 
-def slq_logdet(apply, probes, k):
-    """Stochastic Lanczos quadrature estimate of log|K|.
+def slq_probes(apply, probes, k):
+    """Lanczos on one probe at a time, yielding ``(factor, vals, vecs, quad)``.
 
-    Averages per-probe Gauss quadratures of log over the Rademacher probe
-    set; deterministic given the probe seed. Returns ``(logdet, factors)``
-    where ``factors`` holds each probe's Lanczos factor with its basis,
-    from which the projected gradient is taken. Raises
+    ``vals, vecs`` are the Ritz pairs of the factor's tridiagonal T and
+    ``quad`` = ||z||^2 e_1^T log(T) e_1 is the Gauss quadrature of
+    z^T log(K) z. Only the current basis is held. Raises
     ``NotPositiveDefiniteError`` on a nonpositive Ritz value.
     """
-    total = 0.0
-    factors = []
     for i in range(probes.count):
         z = probes.vectors[:, i]
         factor = lanczos(apply, z, k)
@@ -165,6 +162,10 @@ def slq_logdet(apply, probes, k):
             raise NotPositiveDefiniteError(
                 f"nonpositive Ritz value {vals.min():.3e}; the operator is "
                 "not positive definite (consider a noise/jitter floor)")
-        total += float(z @ z) * float(vecs[0, :] ** 2 @ np.log(vals))
-        factors.append(factor)
-    return total / probes.count, factors
+        yield (factor, vals, vecs,
+               float(z @ z) * float(vecs[0, :] ** 2 @ np.log(vals)))
+
+
+def slq_logdet(apply, probes, k):
+    """Stochastic Lanczos quadrature log|K|: the mean of the quadratures."""
+    return sum(q for *_, q in slq_probes(apply, probes, k)) / probes.count

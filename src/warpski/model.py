@@ -14,11 +14,11 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .exceptions import (DimensionMismatchError, NonFiniteInputError,
-                         NotPositiveDefiniteError)
+from .exceptions import (ConfigError, DimensionMismatchError,
+                         NonFiniteInputError, NotPositiveDefiniteError)
 from .grids import InducingGrid, interpolation_weights
 from .kernels import Kernel, dense_matrix
-from .krylov import CgReport, ProbeSet, cg_solve, slq_logdet
+from .krylov import CgReport, ProbeSet, cg_solve, slq_probes
 from .operators import MixtureOperator, build_component, warp_points
 from .structured import KronEigen, SymToeplitz
 from .warping import Warp
@@ -45,7 +45,7 @@ class GpModel:
 
     def __init__(self, components, noise, fixed=None):
         self.components = list(components)
-        if noise <= 0:
+        if not noise > 0:
             raise ValueError("noise standard deviation must be positive")
         self.noise = float(noise)
         n_params = sum(c.kernel.n_params for c in self.components) + 1
@@ -105,16 +105,15 @@ def build_operator(model, x):
     return MixtureOperator(comps, model.noise_variance, n)
 
 
-def dense_mixture_matrix(model, x, include_noise=True):
-    """Dense exact kernel sum_i k_i(phi_i(x), phi_i(x')) (+ sigma^2 I)."""
+def dense_mixture_matrix(model, x):
+    """Dense exact kernel sum_i k_i(phi_i(x), phi_i(x')) + sigma^2 I."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     out = np.zeros((n, n))
     for c in model.components:
         z = warp_points(c.warp, x, c.grid.ndim)
         out += dense_matrix(c.kernel, z)
-    if include_noise:
-        out += model.noise_variance * np.eye(n)
+    out += model.noise_variance * np.eye(n)
     return out
 
 
@@ -127,7 +126,7 @@ def exact_nlml(model, x, y, with_gradient=True):
     """
     y = np.asarray(y, dtype=float)
     n = y.size
-    k = dense_mixture_matrix(model, x, include_noise=True)
+    k = dense_mixture_matrix(model, x)
     try:
         cho = scipy.linalg.cho_factor(k, lower=True)
     except scipy.linalg.LinAlgError as err:
@@ -171,41 +170,44 @@ def _log_divided_difference(vals):
     return phi
 
 
-def _projected_trace_gradient(op, factors, param_indices):
-    """Trace-term gradient consistent with the quadrature log-det estimate.
+def _derivative_terms(op, param_indices):
+    """Per parameter: ``None`` for the noise, else ``(i, dK_UU terms)``."""
+    owners = [op.param_owner(idx) for idx in param_indices]
+    return [None if o[0] == "noise"
+            else (o[1], op.components[o[1]].derivative_operator(o[2]))
+            for o in owners]
 
-    For each probe's Lanczos factor (Q, T), the derivative of the probe
-    quadratic form z^T log(K) z in direction dK is approximated within the
-    Krylov subspace via the Daleckii-Krein formula on T's eigenbasis with
+
+def _projected_trace_gradient(op, terms, q, vals, vecs):
+    """One probe's trace-term gradient, consistent with its quadrature.
+
+    For the probe's Lanczos basis Q and the Ritz pairs ``(vals, vecs)`` of
+    its tridiagonal T, the derivative of the probe quadratic form
+    z^T log(K) z in direction dK is approximated within the Krylov
+    subspace via the Daleckii-Krein formula on T's eigenbasis with
     B = Q^T dK Q. As the quadrature converges in k, this is the exact
     derivative of the estimated objective.
 
-    Each component's K_i = W_i K_UU W_i^T is differentiated on its grid:
-    with P_i = W_i^T Q formed once per probe for every component that owns
-    a listed parameter, B = sum over Kronecker terms of P_i^T (dK_UU P_i).
-    The noise parameter gives B = 2 sigma^2 Q^T Q.
+    ``terms`` comes from :func:`_derivative_terms`. The noise gives
+    B = 2 sigma^2 Q^T Q. A parameter of component i differentiates
+    K_i = W_i K_UU W_i^T on its grid: with P_i = W_i^T Q formed once for
+    every listed component, B = sum over its Kronecker terms of
+    P_i^T (dK_UU P_i).
     """
-    owners = [op.param_owner(idx) for idx in param_indices]
-    terms = [op.components[o[1]].derivative_operator(o[2])
-             if o[0] == "component" else None for o in owners]
-    projected = sorted({o[1] for o in owners if o[0] == "component"})
-    grad = np.zeros(len(param_indices))
-    for factor in factors:
-        q = factor.basis
-        vals, vecs = factor.ritz()
-        u = vecs[0, :]
-        phi = _log_divided_difference(vals)
-        znorm2 = float(op.n)  # Rademacher probes: ||z||^2 = n
-        proj = {i: op.components[i].weights.rmatvec(q) for i in projected}
-        for j, owner in enumerate(owners):
-            if owner[0] == "noise":
-                b = 2.0 * op.noise_variance * (q.T @ q)
-            else:
-                p = proj[owner[1]]
-                b = sum(p.T @ t.matmat(p) for t in terms[j])
-            m = vecs.T @ b @ vecs
-            grad[j] += znorm2 * float(u @ ((m * phi) @ u))
-    grad /= len(factors)
+    u = vecs[0, :]
+    phi = _log_divided_difference(vals)
+    znorm2 = float(op.n)  # Rademacher probes: ||z||^2 = n
+    owners = sorted({term[0] for term in terms if term is not None})
+    proj = {i: op.components[i].weights.rmatvec(q) for i in owners}
+    grad = np.zeros(len(terms))
+    for j, term in enumerate(terms):
+        if term is None:
+            b = 2.0 * op.noise_variance * (q.T @ q)
+        else:
+            p = proj[term[0]]
+            b = sum(p.T @ t.matmat(p) for t in term[1])
+        m = vecs.T @ b @ vecs
+        grad[j] = znorm2 * float(u @ ((m * phi) @ u))
     return grad
 
 
@@ -213,24 +215,38 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
                 lanczos_steps=30, with_gradient=True, operator=None):
     """Approximate NLML via CG and stochastic Lanczos quadrature.
 
-    Deterministic given ``seed``. The data term comes from one CG solve,
-    the log-determinant from :func:`slq_logdet` over ``n_probes``
-    Rademacher probes of ``lanczos_steps`` steps each. The gradient is the
-    projected one: the derivative of the seeded quadrature estimate
-    itself, so it is consistent with finite differences of the returned
-    value. It is taken for ``model.free_indices()`` only: entries of
-    fixed parameters are not computed and are exactly 0, which is the
-    gradient of the objective ``fit`` minimises. Returns ``(value,
-    gradient, diagnostics)``; ``gradient`` is ``None`` when
-    ``with_gradient`` is false.
+    Deterministic given ``seed``. The data term comes from one CG solve.
+    One pass of :func:`slq_probes` over ``n_probes`` Rademacher probes of
+    ``lanczos_steps`` steps holds one Lanczos basis at a time and adds
+    each probe's quadrature to the log-det and its projected trace term
+    to the gradient: the derivative of the seeded estimate itself, so it
+    is consistent with finite differences of the value. Only
+    ``model.free_indices()`` are differentiated; fixed entries are
+    exactly 0, the gradient of the objective ``fit`` minimises. Returns
+    ``(value, gradient or None, diagnostics)``. A nonpositive
+    ``n_probes`` or ``lanczos_steps`` raises ``ConfigError``.
     """
+    for name, count in (("n_probes", n_probes),
+                        ("lanczos_steps", lanczos_steps)):
+        if count <= 0:
+            raise ConfigError(f"{name}: must be a positive integer")
     y = np.asarray(y, dtype=float)
     n = y.size
     op = operator if operator is not None else build_operator(model, x)
     probes = ProbeSet.draw(n, n_probes, seed)
     rep = cg_solve(op.matvec, y, tol=cg_tol)
     alpha = rep.x
-    logdet, factors = slq_logdet(op.matvec, probes, lanczos_steps)
+    free = model.free_indices()
+    terms = _derivative_terms(op, free) if with_gradient else []
+    logdet = 0.0
+    trace_term = np.zeros(len(terms))
+    for factor, vals, vecs, quadrature in slq_probes(op.matvec, probes,
+                                                     lanczos_steps):
+        logdet += quadrature
+        if with_gradient:
+            trace_term += _projected_trace_gradient(op, terms, factor.basis,
+                                                    vals, vecs)
+    logdet /= n_probes
     value = 0.5 * (float(y @ alpha) + logdet + n * LOG_2PI)
     diagnostics = {
         "cg_iterations": rep.iterations,
@@ -240,12 +256,10 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     }
     if not with_gradient:
         return value, None, diagnostics
-    free = model.free_indices()
     data_term = np.array([-float(alpha @ op.derivative_matvec(idx, alpha))
                           for idx in free])
-    trace_term = _projected_trace_gradient(op, factors, free)
     grad = np.zeros(op.n_params)
-    grad[free] = 0.5 * (data_term + trace_term)
+    grad[free] = 0.5 * (data_term + trace_term / n_probes)
     return value, grad, diagnostics
 
 
@@ -289,14 +303,13 @@ def _check_finite(name, values):
         raise NonFiniteInputError(f"{name}: non-finite value at index {index}")
 
 
-def fit(model, x, y, max_steps=100, seed=0, objective="approx",
-        hyperpriors=None, n_probes=20, cg_tol=1e-2, lanczos_steps=30):
+def fit(model, x, y, max_steps=100, seed=0, hyperpriors=None, n_probes=20,
+        cg_tol=1e-2, lanczos_steps=30):
     """Learn free hyperparameters by quasi-Newton NLML minimization.
 
-    ``objective`` is ``"approx"`` (:func:`approx_nlml` with its projected
-    gradient) or ``"exact"`` (:func:`exact_nlml`). The probe seed is
-    frozen for the whole fit, so the stochastic objective is a
-    deterministic surrogate. Fixed-masked parameters never change.
+    The objective is :func:`approx_nlml` with its projected gradient. The
+    probe seed is frozen for the whole fit, so the stochastic objective
+    is a deterministic surrogate. Fixed-masked parameters never change.
     Non-finite ``x`` or ``y`` raise ``NonFiniteInputError``. Returns the
     best-so-far model even when the line search fails, and the start
     model with ``value=nan`` and flag ``"no_finite_evaluation"`` when no
@@ -317,13 +330,10 @@ def fit(model, x, y, max_steps=100, seed=0, objective="approx",
         theta[free] = free_theta
         m = model.with_theta(theta)
         try:
-            if objective == "exact":
-                value, grad = exact_nlml(m, x, y)
-            else:
-                value, grad, diag = approx_nlml(
-                    m, x, y, n_probes=n_probes, seed=seed,
-                    cg_tol=cg_tol, lanczos_steps=lanczos_steps)
-                state["cg_unconverged"] += not diag["cg_converged"]
+            value, grad, diag = approx_nlml(
+                m, x, y, n_probes=n_probes, seed=seed,
+                cg_tol=cg_tol, lanczos_steps=lanczos_steps)
+            state["cg_unconverged"] += not diag["cg_converged"]
         except NotPositiveDefiniteError:
             # numerically indefinite at this point; make the line search
             # back off rather than aborting the whole fit
@@ -450,7 +460,7 @@ def sample_prior(model, x, seed):
 def exact_separation_means(model, x, y):
     """Dense-oracle posterior component means (kernel-swap identity)."""
     y = np.asarray(y, dtype=float)
-    k = dense_mixture_matrix(model, x, include_noise=True)
+    k = dense_mixture_matrix(model, x)
     alpha = scipy.linalg.cho_solve(scipy.linalg.cho_factor(k, lower=True), y)
     means = []
     for c in model.components:

@@ -141,21 +141,9 @@ def model_from_dict(spec):
                    fixed=fixed if fixed.size else None)
 
 
-def model_to_json(model, indent=2):
-    return json.dumps(model_to_dict(model), indent=indent)
+def model_to_json(model):
+    return json.dumps(model_to_dict(model), indent=2)
 
 
 def model_from_json(text):
     return model_from_dict(json.loads(text))
-
-
-def fit_report_to_dict(result, model=None):
-    """Serializable summary of a fit: learned values, objective and flag."""
-    model = model or result.model
-    return {
-        "value": None if result.value is None else float(result.value),
-        "flag": result.flag,
-        "n_evaluations": result.n_evaluations,
-        "params": {name: float(v) for name, v in
-                   zip(model.param_names, np.exp(model.theta))},
-    }

@@ -137,21 +137,21 @@ class KronEigen:
     """Per-factor eigendecomposition of a Kronecker-structured PSD matrix.
 
     Each factor is densified and decomposed (desk scale); a factor with an
-    eigenvalue below ``-psd_rtol`` times its largest raises
+    eigenvalue below ``-PSD_RTOL`` times its largest raises
     ``NotPositiveDefiniteError``. Used for prior sampling.
     """
 
-    def __init__(self, factors, psd_rtol=PSD_RTOL):
+    def __init__(self, factors):
         dense = [_factor_dense(f) for f in factors]
         self.eigvals = []
         self.eigvecs = []
         for i, a in enumerate(dense):
             vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
             top = max(vals.max(), 0.0)
-            if vals.min() < -psd_rtol * max(top, 1e-300):
+            if vals.min() < -PSD_RTOL * max(top, 1e-300):
                 raise NotPositiveDefiniteError(
                     f"factor {i} has eigenvalue {vals.min():.3e} below "
-                    f"-{psd_rtol:g} * max")
+                    f"-{PSD_RTOL:g} * max")
             self.eigvals.append(np.maximum(vals, 0.0))
             self.eigvecs.append(vecs)
 

@@ -125,8 +125,8 @@ class Polynomial1D(Warp1D):
     def _forward_raw(self, x):
         return np.polyval(self._poly, x)
 
-    def inverse(self, z, tol=1e-12, max_iter=100):
-        """Safeguarded Newton with bisection fallback."""
+    def inverse(self, z):
+        """Safeguarded Newton with bisection fallback, at most 100 steps."""
         z = self._check_image(np.asarray(z, dtype=float))
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
@@ -135,9 +135,9 @@ class Polynomial1D(Warp1D):
         x = np.clip((z - self.image[0]) / (self.image[1] - self.image[0]), 0, 1)
         x = self.domain[0] + x * (self.domain[1] - self.domain[0])
         scale = np.maximum(np.abs(z), 1.0)
-        for _ in range(max_iter):
+        for _ in range(100):
             f = np.polyval(self._poly, x) - z
-            if np.all(np.abs(f) <= tol * scale):
+            if np.all(np.abs(f) <= 1e-12 * scale):
                 break
             pos = f > 0
             hi = np.where(pos, x, hi)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from warpski.cli import main
-from warpski.config import (fit_report_to_dict, grid_from_dict, grid_to_dict,
-                            kernel_from_dict, kernel_to_dict, model_from_json,
-                            model_to_json, warp_from_dict, warp_to_dict)
+from warpski.serialize import (grid_from_dict, grid_to_dict, kernel_from_dict,
+                               kernel_to_dict, model_from_json, model_to_json,
+                               warp_from_dict, warp_to_dict)
 from warpski.csvio import load_events_csv, load_series_csv, save_columns_csv
 from warpski.exceptions import ConfigError, CsvFormatError
 from warpski.grids import grid_covering_box
@@ -144,6 +144,7 @@ class TestExperimentConfig:
         from warpski.experiments import ExperimentConfig
         for data, match in [
                 ({"noise": -1.0}, "noise"),
+                ({"noise": float("nan")}, "noise"),
                 ({"n": 0}, "n:"),
                 ({"dt": 0.0}, "dt:"),
                 ({"amplitudes": [1.0]}, "amplitudes:"),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from warpski.exceptions import NotPositiveDefiniteError
-from warpski.krylov import ProbeSet, cg_solve, lanczos, slq_logdet
+from warpski.krylov import (ProbeSet, cg_solve, lanczos, slq_logdet,
+                            slq_probes)
 
 
 def _spd(rng, n, cond=10.0):
@@ -138,15 +139,15 @@ class TestSlqLogdet:
         a = rng.normal(size=(n, n))
         k = a @ a.T / n + np.eye(n)
         exact = float(np.linalg.slogdet(k)[1])
-        est, _ = slq_logdet(lambda v: k @ v, ProbeSet.draw(n, 20, 0), 30)
+        est = slq_logdet(lambda v: k @ v, ProbeSet.draw(n, 20, 0), 30)
         assert abs(est - exact) / abs(exact) < 0.03
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
         n = 100
         k = _spd(rng, n)
-        a, _ = slq_logdet(lambda v: k @ v, ProbeSet.draw(n, 10, 3), 20)
-        b, _ = slq_logdet(lambda v: k @ v, ProbeSet.draw(n, 10, 3), 20)
+        a = slq_logdet(lambda v: k @ v, ProbeSet.draw(n, 10, 3), 20)
+        b = slq_logdet(lambda v: k @ v, ProbeSet.draw(n, 10, 3), 20)
         assert a == b
 
     def test_raises_on_indefinite_operator(self):
@@ -154,16 +155,19 @@ class TestSlqLogdet:
         with pytest.raises(NotPositiveDefiniteError):
             slq_logdet(lambda v: k @ v, ProbeSet.draw(6, 4, 0), 6)
 
-    def test_with_factors_returns_per_probe_factorizations(self):
+    def test_probes_yield_per_probe_factorizations(self):
         rng = np.random.default_rng(8)
         n = 40
         k = _spd(rng, n)
         probes = ProbeSet.draw(n, 5, 0)
-        est, factors = slq_logdet(lambda v: k @ v, probes, 15)
-        assert len(factors) == 5
-        assert all(f.basis.shape == (n, f.steps) for f in factors)
         quadratures = []
-        for f in factors:
-            vals, vecs = f.ritz()
-            quadratures.append(n * float(vecs[0, :] ** 2 @ np.log(vals)))
+        for f, vals, _, quadrature in slq_probes(lambda v: k @ v, probes, 15):
+            assert f.basis.shape == (n, f.steps)
+            ritz_vals, ritz_vecs = f.ritz()
+            np.testing.assert_array_equal(vals, ritz_vals)
+            want = n * float(ritz_vecs[0, :] ** 2 @ np.log(ritz_vals))
+            assert quadrature == pytest.approx(want, rel=1e-14)
+            quadratures.append(quadrature)
+        assert len(quadratures) == 5
+        est = slq_logdet(lambda v: k @ v, probes, 15)
         assert est == pytest.approx(np.mean(quadratures), rel=1e-14)

@@ -1,13 +1,17 @@
+import weakref
+
 import numpy as np
 import pytest
 
+import warpski.krylov
 import warpski.model
-from warpski.exceptions import NonFiniteInputError, NotPositiveDefiniteError
+from warpski.exceptions import (ConfigError, NonFiniteInputError,
+                                NotPositiveDefiniteError)
 from warpski.grids import grid_covering_box
 from warpski.kernels import Periodic, Product, SquaredExponential
-from warpski.krylov import ProbeSet, slq_logdet
+from warpski.krylov import ProbeSet, slq_probes
 from warpski.model import (GpComponent, GpModel, LogNormalPrior,
-                           _log_divided_difference,
+                           _derivative_terms, _log_divided_difference,
                            _projected_trace_gradient, approx_nlml,
                            build_operator, dense_mixture_matrix,
                            exact_nlml, exact_separation_means, fit,
@@ -95,6 +99,11 @@ class TestGpModel:
         # original untouched
         np.testing.assert_allclose(np.exp(m.theta)[-1], 0.2, rtol=1e-12)
 
+    @pytest.mark.parametrize("noise", [0.0, -0.1, np.nan])
+    def test_rejects_nonpositive_noise(self, noise):
+        with pytest.raises(ValueError, match="noise standard deviation"):
+            _model_1d(noise=noise)
+
     def test_fixed_mask_controls_free_indices(self):
         m = _two_component()
         m.fixed[:] = True
@@ -163,6 +172,36 @@ class TestApproxNlml:
             fd = (up - dn) / (2 * eps)
             assert grad[p] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
+    @pytest.mark.parametrize("with_gradient", [False, True])
+    def test_holds_at_most_one_earlier_basis(self, monkeypatch,
+                                             with_gradient):
+        original = warpski.krylov.lanczos
+        bases = []
+        alive = []
+
+        def tracking(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in bases))
+            factor = original(*args, **kwargs)
+            bases.append(weakref.ref(factor.basis))
+            return factor
+
+        monkeypatch.setattr(warpski.krylov, "lanczos", tracking)
+        x, y = _data(150)
+        approx_nlml(_two_component(), x, y, n_probes=8, lanczos_steps=10,
+                    with_gradient=with_gradient)
+        assert len(alive) == 8
+        assert max(alive) <= 1
+
+    @pytest.mark.parametrize("field, count", [
+        ("n_probes", 0), ("n_probes", -1), ("lanczos_steps", 0)])
+    def test_rejects_nonpositive_krylov_sizes(self, field, count):
+        m = _model_1d()
+        x, y = _data(50)
+        with pytest.raises(ConfigError, match=f"{field}:"):
+            approx_nlml(m, x, y, **{field: count})
+        with pytest.raises(ConfigError, match=f"{field}:"):
+            fit(m, x, y, max_steps=2, **{field: count})
+
 
 class TestProjectedTraceGradient:
     @pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
@@ -171,9 +210,16 @@ class TestProjectedTraceGradient:
         m = make_model()
         x, _ = make_data(150)
         op = build_operator(m, x)
-        _, factors = slq_logdet(op.matvec, ProbeSet.draw(op.n, 4, 0), 15)
+        terms = _derivative_terms(op, np.arange(op.n_params))
+        factors = []
+        got = np.zeros(op.n_params)
+        for factor, vals, vecs, _ in slq_probes(
+                op.matvec, ProbeSet.draw(op.n, 4, 0), 15):
+            factors.append(factor)
+            got += _projected_trace_gradient(op, terms, factor.basis, vals,
+                                             vecs)
+        got /= len(factors)
         want = _reference_trace_gradient(op, factors)
-        got = _projected_trace_gradient(op, factors, np.arange(op.n_params))
         np.testing.assert_allclose(got, want, rtol=1e-10,
                                    atol=1e-10 * np.abs(want).max())
 
