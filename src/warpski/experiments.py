@@ -69,15 +69,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("numeric2d", "separation1d", "custom"):
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
-        if self.n <= 0:
+        if not self.n > 0:
             raise ConfigError("n: must be a positive integer")
         if not self.noise > 0:
             raise ConfigError("noise: must be positive")
         for name in ("cg_tol_inference", "cg_tol_separation"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name}: must be positive")
         for name in ("n_probes", "lanczos_steps", "max_steps"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name}: must be a positive integer")
         if not self.dt > 0:
             raise ConfigError("dt: must be positive")

@@ -278,16 +278,11 @@ class Product(_Composite):
     def grad(self, tau):
         _, lags = self._child_lags(tau)
         vals = [c.eval(lag) for c, lag in zip(self.children, lags)]
-        total = np.prod(np.stack(vals), axis=0)
         blocks = []
         for i, (c, lag) in enumerate(zip(self.children, lags)):
-            g = c.grad(lag)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rest = np.where(vals[i] != 0.0, total / vals[i], 0.0)
-            if np.any(vals[i] == 0.0):
-                others = [v for j, v in enumerate(vals) if j != i]
-                rest = np.prod(np.stack(others), axis=0) if others else np.ones_like(total)
-            blocks.append(g * rest)
+            rest = np.prod(np.stack([np.ones_like(vals[i]), *vals[:i],
+                                     *vals[i + 1:]]), axis=0)
+            blocks.append(c.grad(lag) * rest)
         return np.concatenate(blocks)
 
 

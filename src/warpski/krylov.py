@@ -98,8 +98,6 @@ class LanczosFactor:
 
     def ritz(self):
         """Eigenvalues of T and first components of its eigenvectors."""
-        if self.steps == 1:
-            return self.alphas[:1].copy(), np.ones((1, 1))
         vals, vecs = scipy.linalg.eigh_tridiagonal(self.alphas, self.betas)
         return vals, vecs
 

@@ -170,15 +170,7 @@ def _log_divided_difference(vals):
     return phi
 
 
-def _derivative_terms(op, param_indices):
-    """Per parameter: ``None`` for the noise, else ``(i, dK_UU terms)``."""
-    owners = [op.param_owner(idx) for idx in param_indices]
-    return [None if o[0] == "noise"
-            else (o[1], op.components[o[1]].derivative_operator(o[2]))
-            for o in owners]
-
-
-def _projected_trace_gradient(op, terms, q, vals, vecs):
+def _projected_trace_gradient(forms, vals, vecs, znorm2):
     """One probe's trace-term gradient, consistent with its quadrature.
 
     For the probe's Lanczos basis Q and the Ritz pairs ``(vals, vecs)`` of
@@ -186,29 +178,14 @@ def _projected_trace_gradient(op, terms, q, vals, vecs):
     z^T log(K) z in direction dK is approximated within the Krylov
     subspace via the Daleckii-Krein formula on T's eigenbasis with
     B = Q^T dK Q. As the quadrature converges in k, this is the exact
-    derivative of the estimated objective.
-
-    ``terms`` comes from :func:`_derivative_terms`. The noise gives
-    B = 2 sigma^2 Q^T Q. A parameter of component i differentiates
-    K_i = W_i K_UU W_i^T on its grid: with P_i = W_i^T Q formed once for
-    every listed component, B = sum over its Kronecker terms of
-    P_i^T (dK_UU P_i).
+    derivative of the estimated objective. ``forms`` lists one B per
+    parameter (``MixtureOperator.derivative_forms``) and ``znorm2`` is
+    the probe's squared norm ||z||^2, n for a Rademacher probe.
     """
     u = vecs[0, :]
     phi = _log_divided_difference(vals)
-    znorm2 = float(op.n)  # Rademacher probes: ||z||^2 = n
-    owners = sorted({term[0] for term in terms if term is not None})
-    proj = {i: op.components[i].weights.rmatvec(q) for i in owners}
-    grad = np.zeros(len(terms))
-    for j, term in enumerate(terms):
-        if term is None:
-            b = 2.0 * op.noise_variance * (q.T @ q)
-        else:
-            p = proj[term[0]]
-            b = sum(p.T @ t.matmat(p) for t in term[1])
-        m = vecs.T @ b @ vecs
-        grad[j] = znorm2 * float(u @ ((m * phi) @ u))
-    return grad
+    return np.array([znorm2 * float(u @ ((vecs.T @ b @ vecs * phi) @ u))
+                     for b in forms])
 
 
 def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
@@ -237,15 +214,15 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     rep = cg_solve(op.matvec, y, tol=cg_tol)
     alpha = rep.x
     free = model.free_indices()
-    terms = _derivative_terms(op, free) if with_gradient else []
     logdet = 0.0
-    trace_term = np.zeros(len(terms))
+    trace_term = np.zeros(free.size)
     for factor, vals, vecs, quadrature in slq_probes(op.matvec, probes,
                                                      lanczos_steps):
         logdet += quadrature
         if with_gradient:
-            trace_term += _projected_trace_gradient(op, terms, factor.basis,
-                                                    vals, vecs)
+            trace_term += _projected_trace_gradient(
+                op.derivative_forms(free, factor.basis), vals, vecs,
+                float(op.n))
     logdet /= n_probes
     value = 0.5 * (float(y @ alpha) + logdet + n * LOG_2PI)
     diagnostics = {

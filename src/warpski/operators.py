@@ -31,24 +31,14 @@ def decompose_separable(kernel, ndim):
     if not isinstance(kernel, Product) or kernel.arity != ndim:
         raise DimensionMismatchError(
             f"a {ndim}-D grid needs a Product kernel of matching arity")
-    groups = {d: [] for d in range(ndim)}
-    offsets = []
-    pos = 0
-    for child in kernel.children:
-        offsets.append(pos)
-        pos += child.n_params
-    for i, (child, d) in enumerate(zip(kernel.children, kernel.dims)):
-        groups[d].append((child, offsets[i]))
+    offsets = np.cumsum([0] + [c.n_params for c in kernel.children])
     out = []
     for d in range(ndim):
-        members = groups[d]
-        idx = []
-        for child, off in members:
-            idx.extend(range(off, off + child.n_params))
-        if len(members) == 1:
-            out.append((members[0][0], idx))
-        else:
-            out.append((Product([c for c, _ in members]), idx))
+        members = [i for i, dim in enumerate(kernel.dims) if dim == d]
+        children = [kernel.children[i] for i in members]
+        idx = [j for i in members for j in range(offsets[i], offsets[i + 1])]
+        out.append((children[0] if len(children) == 1 else Product(children),
+                    idx))
     return out
 
 
@@ -64,6 +54,7 @@ class SkiComponent:
         self.kuu = KronOperator([
             SymToeplitz(toeplitz_column(kd, ax))
             for (kd, _), ax in zip(self.axis_kernels, grid.axes)])
+        self._derivatives = {}
 
     @property
     def n_params(self):
@@ -74,33 +65,32 @@ class SkiComponent:
         return self.weights.matvec(self.kuu.matvec(self.weights.rmatvec(v)))
 
     def derivative_operator(self, param_index):
-        """Kronecker-structured dK_UU / d log(theta_j) (sum over axes).
+        """dK_UU / d log(theta_j) as one Kronecker operator, built once.
 
-        One term per axis whose kernel owns the parameter; the other axes
-        reuse the factors of ``kuu``.
+        ``decompose_separable`` puts each parameter in exactly one axis
+        kernel, so the derivative replaces that axis's Toeplitz factor and
+        reuses the other factors of ``kuu``. The operator is memoised on
+        the component, which is rebuilt for every evaluation. An index no
+        axis kernel owns raises ``IndexError``.
         """
-        terms = []
-        for axis, ((kd, idx), ax) in enumerate(
-                zip(self.axis_kernels, self.grid.axes)):
-            if param_index not in idx:
-                continue
-            local = idx.index(param_index)
-            lags = ax - ax[0]
-            dcol = kd.grad(lags)[local]
+        if param_index not in self._derivatives:
+            for axis, ((kd, idx), ax) in enumerate(
+                    zip(self.axis_kernels, self.grid.axes)):
+                if param_index in idx:
+                    break
+            else:
+                raise IndexError(
+                    f"parameter index {param_index} out of range")
             factors = list(self.kuu.factors)
-            factors[axis] = SymToeplitz(dcol)
-            terms.append(KronOperator(factors))
-        return terms
+            factors[axis] = SymToeplitz(
+                kd.grad(ax - ax[0])[idx.index(param_index)])
+            self._derivatives[param_index] = KronOperator(factors)
+        return self._derivatives[param_index]
 
     def derivative_matvec(self, param_index, v):
         """(W dK_UU W^T) v for the given kernel hyperparameter."""
-        if not 0 <= param_index < self.n_params:
-            raise IndexError(f"parameter index {param_index} out of range")
-        wt = self.weights.rmatvec(v)
-        out = np.zeros_like(np.asarray(v, dtype=float))
-        for op in self.derivative_operator(param_index):
-            out = out + self.weights.matvec(op.matvec(wt))
-        return out
+        return self.weights.matvec(self.derivative_operator(
+            param_index).matvec(self.weights.rmatvec(v)))
 
     def dense_ski(self):
         """Explicit W K_UU W^T (desk scale)."""
@@ -163,7 +153,7 @@ class MixtureOperator:
     """
 
     def __init__(self, components, noise_variance, n):
-        if noise_variance < 0:
+        if not noise_variance >= 0:
             raise ValueError("noise variance must be non-negative")
         self.components = list(components)
         self.noise_variance = float(noise_variance)
@@ -210,6 +200,26 @@ class MixtureOperator:
             return 2.0 * self.noise_variance * v
         _, i, local = owner
         return self.components[i].derivative_matvec(local, v)
+
+    def derivative_forms(self, indices, x):
+        """X^T (dK / d log theta_j) X for each j in ``indices``; X is (n, k).
+
+        A kernel parameter of component i differentiates W_i K_UU W_i^T on
+        its grid: P_i = W_i^T X is formed once per owning component and the
+        form is P_i^T (dK_UU P_i), with no product by W_i. The noise entry
+        gives 2 sigma^2 X^T X.
+        """
+        proj, forms = {}, []
+        for owner in map(self.param_owner, indices):
+            if owner[0] == "noise":
+                forms.append(2.0 * self.noise_variance * (x.T @ x))
+                continue
+            _, i, local = owner
+            if i not in proj:
+                proj[i] = self.components[i].weights.rmatvec(x)
+            d_kuu = self.components[i].derivative_operator(local)
+            forms.append(proj[i].T @ d_kuu.matmat(proj[i]))
+        return forms
 
     def dense(self):
         """Explicitly assembled approximate kernel (desk scale)."""

@@ -146,6 +146,12 @@ class TestExperimentConfig:
                 ({"noise": -1.0}, "noise"),
                 ({"noise": float("nan")}, "noise"),
                 ({"n": 0}, "n:"),
+                ({"n": float("nan")}, "n:"),
+                ({"cg_tol_inference": float("nan")}, "cg_tol_inference:"),
+                ({"cg_tol_separation": float("nan")}, "cg_tol_separation:"),
+                ({"n_probes": float("nan")}, "n_probes:"),
+                ({"lanczos_steps": float("nan")}, "lanczos_steps:"),
+                ({"max_steps": float("nan")}, "max_steps:"),
                 ({"dt": 0.0}, "dt:"),
                 ({"amplitudes": [1.0]}, "amplitudes:"),
                 ({"amplitudes": [1.0, 0.4, 0.2]}, "amplitudes:"),

@@ -121,6 +121,18 @@ class TestComposite:
         np.testing.assert_allclose(np.exp(k.log_params),
                                    [1.5, 0.4, 2.0, 0.9], rtol=1e-14)
 
+    def test_product_gradient_finite_where_a_child_underflows(self):
+        a = SquaredExponential(1.5, 0.01)
+        b = Periodic(0.7, 0.9, 1.3)
+        k = Product([a, b])
+        tau = np.linspace(-2, 2, 41)
+        assert np.any(a.eval(tau) == 0.0)
+        got = k.grad(tau)
+        want = np.concatenate([a.grad(tau) * b.eval(tau),
+                               b.grad(tau) * a.eval(tau)])
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got, want)
+
     def test_with_log_params_round_trip(self):
         k = Product([SquaredExponential(1.5, 0.4),
                      Periodic(0.7, 0.9, 1.3)], dims=[0, 1])

@@ -127,6 +127,13 @@ class TestLanczos:
         vals, _ = f.ritz()
         np.testing.assert_allclose(np.sort(vals), [1.0, 2.0], atol=1e-12)
 
+    def test_single_step_breakdown_gives_one_ritz_pair(self):
+        f = lanczos(lambda v: 2 * v, np.ones(5), 4)
+        assert f.steps == 1
+        vals, vecs = f.ritz()
+        np.testing.assert_allclose(vals, [2.0], rtol=1e-15)
+        np.testing.assert_allclose(vecs, [[1.0]], rtol=1e-15)
+
     def test_rejects_zero_start_vector(self):
         with pytest.raises(ValueError):
             lanczos(lambda v: v, np.zeros(5), 3)

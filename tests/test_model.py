@@ -11,12 +11,13 @@ from warpski.grids import grid_covering_box
 from warpski.kernels import Periodic, Product, SquaredExponential
 from warpski.krylov import ProbeSet, slq_probes
 from warpski.model import (GpComponent, GpModel, LogNormalPrior,
-                           _derivative_terms, _log_divided_difference,
+                           _log_divided_difference,
                            _projected_trace_gradient, approx_nlml,
                            build_operator, dense_mixture_matrix,
                            exact_nlml, exact_separation_means, fit,
                            predict_mean, sample_prior, separate)
 from warpski.operators import MixtureOperator
+from warpski.structured import SymToeplitz
 from warpski.warping import ElementwiseWarp, Identity
 
 
@@ -210,18 +211,48 @@ class TestProjectedTraceGradient:
         m = make_model()
         x, _ = make_data(150)
         op = build_operator(m, x)
-        terms = _derivative_terms(op, np.arange(op.n_params))
+        indices = np.arange(op.n_params)
         factors = []
         got = np.zeros(op.n_params)
         for factor, vals, vecs, _ in slq_probes(
                 op.matvec, ProbeSet.draw(op.n, 4, 0), 15):
             factors.append(factor)
-            got += _projected_trace_gradient(op, terms, factor.basis, vals,
-                                             vecs)
+            got += _projected_trace_gradient(
+                op.derivative_forms(indices, factor.basis), vals, vecs,
+                float(op.n))
         got /= len(factors)
         want = _reference_trace_gradient(op, factors)
         np.testing.assert_allclose(got, want, rtol=1e-10,
                                    atol=1e-10 * np.abs(want).max())
+
+    @pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+    def test_derivative_forms_match_projected_derivative_matvecs(self, case):
+        make_model, make_data = GRADIENT_CASES[case]
+        x, _ = make_data(150)
+        op = build_operator(make_model(), x)
+        block = np.random.default_rng(7).normal(size=(op.n, 5))
+        indices = np.arange(op.n_params)
+        for j, form in zip(indices, op.derivative_forms(indices, block)):
+            want = block.T @ op.derivative_matvec(j, block)
+            np.testing.assert_allclose(form, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_each_free_derivative_built_once_per_evaluation(self,
+                                                            monkeypatch):
+        m = _two_component()
+        m.fixed[[1, 2, 4]] = True
+        x, y = _data(150)
+        op = build_operator(m, x)
+        built = []
+        original = SymToeplitz.__init__
+
+        def counting(self, first_column):
+            built.append(len(first_column))
+            original(self, first_column)
+
+        monkeypatch.setattr(SymToeplitz, "__init__", counting)
+        approx_nlml(m, x, y, n_probes=4, lanczos_steps=10, operator=op)
+        assert len(built) == m.free_indices().size - 1  # less the noise
 
     @pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
     def test_fixed_entries_are_zero_and_free_ones_unchanged(self, case):

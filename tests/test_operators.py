@@ -103,6 +103,15 @@ class TestSkiComponent:
             got = comp.derivative_matvec(p, v)
             np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
 
+    def test_derivative_operator_built_once_per_parameter(self):
+        x, poly, grid, kernel = _warped_setup(n=50, m=64)
+        comp = build_component(kernel, poly, grid, x)
+        assert comp.derivative_operator(1) is comp.derivative_operator(1)
+        assert comp.derivative_operator(0) is not comp.derivative_operator(1)
+        for index in (-1, kernel.n_params):
+            with pytest.raises(IndexError):
+                comp.derivative_operator(index)
+
 
 class TestMixtureOperator:
     def _mixture(self, n=200):
@@ -145,3 +154,5 @@ class TestMixtureOperator:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             MixtureOperator([], -1.0, 10)
+        with pytest.raises(ValueError):
+            MixtureOperator([], float("nan"), 10)
