@@ -10,8 +10,8 @@ from .structured import KronEigen, KronOperator, SymToeplitz
 from .operators import MixtureOperator, SkiComponent, build_component
 from .krylov import (CgReport, LanczosFactor, ProbeSet, cg_solve, lanczos,
                      slq_logdet, slq_probes)
-from .model import (FitResult, GpComponent, GpModel, LogNormalPrior,
-                    SeparationResult, approx_nlml, build_operator,
-                    exact_nlml, fit, predict_mean, sample_prior, separate)
+from .model import (FitResult, GpComponent, GpModel, SeparationResult,
+                    approx_nlml, build_operator, exact_nlml, fit,
+                    predict_mean, sample_prior, separate)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .kernels import Product, QuasiPeriodic, SquaredExponential
 from .krylov import cg_solve
 from .metrics import rmse, snr_improvement
 from .model import (GpComponent, GpModel, approx_nlml, build_operator, fit,
-                    sample_prior, separate, exact_separation_means)
+                    sample_prior, separate)
 from .warping import ElementwiseWarp, Identity, Polynomial1D, phase_from_events
 
 
@@ -50,7 +50,6 @@ class ExperimentConfig:
     start_noise: float = 1.0
     start_amplitude: float = 1.0
     start_lengthscale: float = 0.6
-    fit_lengthscales: bool = True
 
     # separation1d
     dt: float = 0.002
@@ -61,13 +60,12 @@ class ExperimentConfig:
     env_lengthscale: float = 20.0
     per_lengthscale: float = 0.6
     grid_per_cycle: int = 24
-    compare_oracle: bool = False
     maternal_events_csv: str | None = None
     fetal_events_csv: str | None = None
     data_csv: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("numeric2d", "separation1d", "custom"):
+        if self.kind not in ("numeric2d", "separation1d"):
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
         if not self.n > 0:
             raise ConfigError("n: must be a positive integer")
@@ -170,9 +168,6 @@ def numeric2d_model(config, grid_counts=None):
     # the second-axis amplitude is redundant with the first and stays fixed
     fixed = np.zeros(5, dtype=bool)
     fixed[2] = True
-    if not config.fit_lengthscales:
-        fixed[1] = True
-        fixed[3] = True
     model = GpModel([GpComponent(kernel, warp, grid)], noise=config.noise,
                     fixed=fixed)
     return model
@@ -196,9 +191,8 @@ def run_numeric2d(config):
     model = numeric2d_model(config)
     start_theta = model.theta.copy()
     start_theta[0] = np.log(config.start_amplitude)
-    if config.fit_lengthscales:
-        start_theta[1] = np.log(config.start_lengthscale)
-        start_theta[3] = np.log(config.start_lengthscale)
+    start_theta[1] = np.log(config.start_lengthscale)
+    start_theta[3] = np.log(config.start_lengthscale)
     start_theta[-1] = np.log(config.start_noise)
     model = model.with_theta(start_theta)
 
@@ -328,12 +322,6 @@ def run_separation1d(config):
         for j, name in enumerate(("maternal", "fetal")):
             metrics[f"snr_improvement_{name}_db"] = snr_improvement(
                 y, sep.means[j], truths[j])
-    if config.compare_oracle and t.size <= 3000:
-        exact_means, _ = exact_separation_means(fitted, t, y)
-        for j, name in enumerate(("maternal", "fetal")):
-            rel = (np.linalg.norm(sep.means[j] - exact_means[j])
-                   / np.linalg.norm(exact_means[j]))
-            metrics[f"oracle_rel_l2_{name}"] = float(rel)
 
     learned = {name: float(v) for name, v in
                zip(fitted.param_names, np.exp(fitted.theta))}

@@ -18,6 +18,7 @@ from .warping import ElementwiseWarp, Warp
 
 MIN_AXIS_COUNT = 8
 MARGIN_CELLS = 2
+COVER_CELLS = 3  # one cell of slack over the MARGIN_CELLS check
 
 
 def _is_equispaced(axis):
@@ -62,20 +63,14 @@ class InducingGrid:
     def total_size(self):
         return int(np.prod(self.shape))
 
-    def safe_box(self):
-        """Bounds within which cubic stencils never touch grid boundaries."""
-        lo = [a[1] for a in self.axes]
-        hi = [a[-2] for a in self.axes]
-        return np.array(lo), np.array(hi)
 
-
-def build_grid(per_dim, data_box=None, margin_cells=MARGIN_CELLS):
+def build_grid(per_dim, data_box=None):
     """Build an equispaced inducing grid.
 
     ``per_dim`` is a list with one entry per dimension: either a mapping
     with keys ``min``, ``max``, ``count`` or an explicit coordinate array.
     If ``data_box`` (list of per-dimension ``(lo, hi)``) is given, each
-    axis must extend at least ``margin_cells`` grid cells beyond the box
+    axis must extend at least ``MARGIN_CELLS`` grid cells beyond the box
     on both sides (cubic stencil support).
     """
     axes = []
@@ -98,30 +93,30 @@ def build_grid(per_dim, data_box=None, margin_cells=MARGIN_CELLS):
             a = grid.axes[d]
             h = (a[-1] - a[0]) / (a.size - 1)
             slack = 1e-12 * max(abs(a[0]), abs(a[-1]), 1.0)
-            need = margin_cells * h
+            need = MARGIN_CELLS * h
             if blo - a[0] < need - slack or a[-1] - bhi < need - slack:
-                min_count = int(np.ceil((bhi - blo) / h)) + 2 * margin_cells + 1
+                min_count = int(np.ceil((bhi - blo) / h)) + 2 * MARGIN_CELLS + 1
                 raise GridError(
-                    f"axis {d} must extend >= {margin_cells} cells beyond the "
+                    f"axis {d} must extend >= {MARGIN_CELLS} cells beyond the "
                     f"data box; need at least {min_count} points at this spacing")
     return grid
 
 
-def grid_covering_box(data_box, counts, margin_cells=3):
-    """Equispaced grid whose axes cover ``data_box`` with the given margin.
+def grid_covering_box(data_box, counts):
+    """Equispaced grid whose axes cover ``data_box`` with a margin.
 
-    The margin is expressed in grid cells: each axis spans the box plus
-    ``margin_cells`` extra cells per side, using ``counts[d]`` points.
+    Each axis spans the box plus ``COVER_CELLS`` extra grid cells per
+    side, using ``counts[d]`` points.
     """
     specs = []
     for (lo, hi), count in zip(data_box, counts):
         count = int(count)
-        inner = count - 1 - 2 * margin_cells
+        inner = count - 1 - 2 * COVER_CELLS
         if inner < 1:
-            raise GridError(f"count {count} too small for margin {margin_cells}")
+            raise GridError(f"count {count} too small for margin {COVER_CELLS}")
         h = (float(hi) - float(lo)) / inner
-        specs.append({"min": lo - margin_cells * h,
-                      "max": hi + margin_cells * h,
+        specs.append({"min": lo - COVER_CELLS * h,
+                      "max": hi + COVER_CELLS * h,
                       "count": count})
     return build_grid(specs, data_box=data_box)
 
@@ -158,17 +153,12 @@ class InterpWeights:
     is the C-order flattening of the grid (last dimension fastest).
     """
 
-    def __init__(self, matrix, grid_shape):
+    def __init__(self, matrix):
         self.matrix = matrix.tocsr()
-        self.grid_shape = tuple(grid_shape)
 
     @property
     def shape(self):
         return self.matrix.shape
-
-    @property
-    def nnz_per_row(self):
-        return 4 ** len(self.grid_shape)
 
     def matvec(self, v):
         v = np.asarray(v, dtype=float)
@@ -290,4 +280,4 @@ def interpolation_weights(grid, points):
     mat = scipy.sparse.csr_matrix(
         (weights.ravel(), cols.ravel(), indptr),
         shape=(n, int(np.prod(shape))))
-    return InterpWeights(mat, shape)
+    return InterpWeights(mat)

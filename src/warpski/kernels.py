@@ -51,7 +51,6 @@ class Hyperparameters:
 class Kernel:
     """Base class for stationary kernels. Instances are immutable."""
 
-    kind = "base"
     arity = 1
 
     @property
@@ -83,9 +82,6 @@ class Kernel:
         """Gradient d k / d log(theta_j), stacked on a leading axis."""
         raise NotImplementedError
 
-    def __call__(self, tau):
-        return self.eval(tau)
-
     def _check_tau(self, tau):
         tau = np.asarray(tau, dtype=float)
         if self.arity == 1:
@@ -101,8 +97,6 @@ class Kernel:
 class SquaredExponential(Kernel):
     """k(tau) = amplitude^2 * exp(-tau^2 / (2 lengthscale^2))."""
 
-    kind = "se"
-
     def __init__(self, amplitude, lengthscale):
         self._params = Hyperparameters(("amplitude", "lengthscale"),
                                        (amplitude, lengthscale))
@@ -110,14 +104,6 @@ class SquaredExponential(Kernel):
     @property
     def params(self):
         return self._params
-
-    @property
-    def amplitude(self):
-        return self._params.values[0]
-
-    @property
-    def lengthscale(self):
-        return self._params.values[1]
 
     def with_log_params(self, log_params):
         a, l = np.exp(np.asarray(log_params, dtype=float))
@@ -139,8 +125,6 @@ class Periodic(Kernel):
     """Exponentiated-sine periodic kernel:
     k(tau) = amplitude^2 * exp(-2 sin^2(pi tau / period) / lengthscale^2)."""
 
-    kind = "periodic"
-
     def __init__(self, amplitude, lengthscale, period):
         self._params = Hyperparameters(("amplitude", "lengthscale", "period"),
                                        (amplitude, lengthscale, period))
@@ -148,10 +132,6 @@ class Periodic(Kernel):
     @property
     def params(self):
         return self._params
-
-    @property
-    def period(self):
-        return self._params.values[2]
 
     def with_log_params(self, log_params):
         a, l, p = np.exp(np.asarray(log_params, dtype=float))
@@ -208,8 +188,6 @@ class _Composite(Kernel):
 class Sum(_Composite):
     """Sum of kernels of equal arity; parameters are concatenated."""
 
-    kind = "sum"
-
     def __init__(self, children):
         super().__init__(children)
         arity = self.children[0].arity
@@ -235,8 +213,6 @@ class Product(_Composite):
     dims are 0 (default) the product is over a shared 1-D lag. The kernel
     arity is ``max(dims) + 1``; children must themselves be arity-1.
     """
-
-    kind = "product"
 
     def __init__(self, children, dims=None):
         super().__init__(children)
@@ -291,12 +267,10 @@ class QuasiPeriodic(Product):
 
     Parameter layout follows the Product convention: the SE child carries
     (amplitude, env_lengthscale) and the periodic child
-    (amplitude=1, per_lengthscale, period). The periodic amplitude is
-    redundant with the SE amplitude and is normally held fixed during
-    learning; see :meth:`redundant_param_index`.
+    (amplitude=1, per_lengthscale, period). The periodic amplitude, at
+    parameter index 2, is redundant with the SE amplitude and is normally
+    held fixed during learning.
     """
-
-    kind = "quasiperiodic"
 
     def __init__(self, amplitude=None, env_lengthscale=None,
                  per_lengthscale=None, period=None, _children=None):
@@ -308,11 +282,6 @@ class QuasiPeriodic(Product):
                 or not isinstance(_children[1], Periodic)):
             raise ValueError("QuasiPeriodic children must be (SE, Periodic)")
         super().__init__(_children, dims=[0, 0])
-
-    @property
-    def redundant_param_index(self):
-        """Index (within this kernel's params) of the fixed periodic amplitude."""
-        return 2
 
     def _with_children(self, children):
         return QuasiPeriodic(_children=children)
@@ -351,13 +320,19 @@ def check_equispaced(axis):
     return h
 
 
-def dense_matrix(kernel, x):
-    """Dense kernel matrix over the point set ``x``."""
+def pairwise_lags(kernel, x):
+    """Lags ``x_i - x_j`` over the point set ``x``, shaped for ``kernel``:
+    ``(n, n)`` for an arity-1 kernel, ``(n, n, arity)`` otherwise."""
     x = np.asarray(x, dtype=float)
     if kernel.arity == 1:
         a = x.reshape(-1)
-        return kernel.eval(a[:, None] - a[None, :])
+        return a[:, None] - a[None, :]
     a = x.reshape(len(x), -1)
     if a.shape[1] != kernel.arity:
         raise DimensionMismatchError("point dimension does not match kernel arity")
-    return kernel.eval(a[:, None, :] - a[None, :, :])
+    return a[:, None, :] - a[None, :, :]
+
+
+def dense_matrix(kernel, x):
+    """Dense kernel matrix over the point set ``x``."""
+    return kernel.eval(pairwise_lags(kernel, x))

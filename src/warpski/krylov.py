@@ -23,30 +23,29 @@ class CgReport:
     converged: bool
 
 
-def cg_solve(apply, y, tol=1e-8, max_iter=None, x0=None):
-    """Linear conjugate gradients for a symmetric PSD operator.
+def cg_solve(apply, y, tol=1e-8, max_iter=None):
+    """Linear conjugate gradients for a symmetric PSD operator, from x = 0.
 
     Stops when the relative residual ||Kx - y|| / ||y|| drops below
-    ``tol``. On iteration exhaustion, on a non-finite right-hand side and
-    when the curvature p^T K p or the residual turns non-positive or
-    non-finite, the report carries ``converged=False`` (residual ``nan``
-    for a non-finite ``y``); the caller decides severity.
+    ``tol``. ``max_iter`` defaults to 2n: in finite precision CG can need
+    more than the n steps that suffice in exact arithmetic (about 1.3 n
+    on small well-posed two-component models). On iteration exhaustion,
+    on a non-finite right-hand side and when the curvature p^T K p or the
+    residual turns non-positive or non-finite, the report carries
+    ``converged=False`` (residual ``nan`` for a non-finite ``y``); the
+    caller decides severity.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
     if max_iter is None:
-        max_iter = n
+        max_iter = 2 * n
     ynorm = np.linalg.norm(y)
     if ynorm == 0.0:
         return CgReport(np.zeros(n), 0, 0.0, True)
     if not np.isfinite(ynorm):
         return CgReport(np.zeros(n), 0, float("nan"), False)
-    if x0 is None:
-        x = np.zeros(n)
-        r = y.copy()
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        r = y - apply(x)
+    x = np.zeros(n)
+    r = y.copy()
     p = r.copy()
     rs = r @ r
     it = 0

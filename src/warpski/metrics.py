@@ -22,15 +22,6 @@ def rmse(a, b):
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def nrmse(a, b):
-    """RMSE normalized by the range of the reference series ``b``."""
-    a, b = _pair(a, b)
-    span = float(b.max() - b.min())
-    if span == 0.0:
-        raise ValueError("reference series has zero range")
-    return rmse(a, b) / span
-
-
 def snr_improvement(raw, cleaned, truth):
     """Error-energy-ratio SNR improvement in dB:
     10 log10(||raw - truth||^2 / ||cleaned - truth||^2)."""

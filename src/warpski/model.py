@@ -17,7 +17,7 @@ import scipy.optimize
 from .exceptions import (ConfigError, DimensionMismatchError,
                          NonFiniteInputError, NotPositiveDefiniteError)
 from .grids import InducingGrid, interpolation_weights
-from .kernels import Kernel, dense_matrix
+from .kernels import Kernel, dense_matrix, pairwise_lags
 from .krylov import CgReport, ProbeSet, cg_solve, slq_probes
 from .operators import MixtureOperator, build_component, warp_points
 from .structured import KronEigen, SymToeplitz
@@ -139,24 +139,14 @@ def exact_nlml(model, x, y, with_gradient=True):
     if not with_gradient:
         return value, None
     kinv = scipy.linalg.cho_solve(cho, np.eye(n))
-    grad = np.zeros(model.n_params)
-    pos = 0
-    for c in model.components:
-        z = warp_points(c.warp, np.asarray(x, dtype=float), c.grid.ndim)
-        if c.kernel.arity == 1:
-            lags = z.reshape(-1)[:, None] - z.reshape(-1)[None, :]
-        else:
-            lags = z[:, None, :] - z[None, :, :]
-        gk = c.kernel.grad(lags)
-        for p in range(c.kernel.n_params):
-            dk = gk[p]
-            grad[pos + p] = 0.5 * (float(np.sum(kinv * dk))
-                                   - float(alpha @ dk @ alpha))
-        pos += c.kernel.n_params
+    grad = [0.5 * (float(np.sum(kinv * dk)) - float(alpha @ dk @ alpha))
+            for c in model.components
+            for dk in c.kernel.grad(pairwise_lags(
+                c.kernel, warp_points(c.warp, x, c.grid.ndim)))]
     s2 = model.noise_variance
-    grad[-1] = 0.5 * (2.0 * s2 * float(np.trace(kinv))
-                      - 2.0 * s2 * float(alpha @ alpha))
-    return value, grad
+    grad.append(0.5 * (2.0 * s2 * float(np.trace(kinv))
+                       - 2.0 * s2 * float(alpha @ alpha)))
+    return value, np.array(grad)
 
 
 def _log_divided_difference(vals):
@@ -241,23 +231,6 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
 
 
 @dataclass
-class LogNormalPrior:
-    """Log-normal hyperprior with given mode, applied in log-space."""
-    param_index: int
-    mode: float
-    log_std: float
-
-    def penalty(self, t):
-        """Negative log density (up to a constant) at log-parameter t."""
-        mu = np.log(self.mode) + self.log_std ** 2
-        return t + (t - mu) ** 2 / (2.0 * self.log_std ** 2)
-
-    def penalty_grad(self, t):
-        mu = np.log(self.mode) + self.log_std ** 2
-        return 1.0 + (t - mu) / self.log_std ** 2
-
-
-@dataclass
 class FitResult:
     """Fitted model, best objective value and the run's record.
 
@@ -280,8 +253,8 @@ def _check_finite(name, values):
         raise NonFiniteInputError(f"{name}: non-finite value at index {index}")
 
 
-def fit(model, x, y, max_steps=100, seed=0, hyperpriors=None, n_probes=20,
-        cg_tol=1e-2, lanczos_steps=30):
+def fit(model, x, y, max_steps=100, seed=0, n_probes=20, cg_tol=1e-2,
+        lanczos_steps=30):
     """Learn free hyperparameters by quasi-Newton NLML minimization.
 
     The objective is :func:`approx_nlml` with its projected gradient. The
@@ -298,7 +271,6 @@ def fit(model, x, y, max_steps=100, seed=0, hyperpriors=None, n_probes=20,
     if free.size == 0:
         return FitResult(model=model, value=np.nan, trace=[],
                          n_evaluations=0, flag="no_free_parameters")
-    hyperpriors = list(hyperpriors or [])
     theta0 = model.theta
     state = {"best": None, "evals": 0, "trace": [], "cg_unconverged": 0}
 
@@ -316,10 +288,6 @@ def fit(model, x, y, max_steps=100, seed=0, hyperpriors=None, n_probes=20,
             # back off rather than aborting the whole fit
             state["evals"] += 1
             return 1e30, np.zeros(free.size)
-        for hp in hyperpriors:
-            value += hp.penalty(theta[hp.param_index])
-            grad = grad.copy()
-            grad[hp.param_index] += hp.penalty_grad(theta[hp.param_index])
         state["evals"] += 1
         if not np.isfinite(value):
             return 1e30, np.zeros(free.size)
@@ -380,14 +348,12 @@ def predict_mean(model, x, alpha, x_star):
     points must fall inside each component grid's stencil-safe region.
     """
     alpha = np.asarray(alpha, dtype=float)
-    x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
     total = np.zeros(x_star.shape[0])
     per_component = []
-    for c in model.components:
-        comp = build_component(c.kernel, c.warp, c.grid, x)
-        z_star = warp_points(c.warp, x_star, c.grid.ndim)
-        w_star = interpolation_weights(c.grid, z_star)
+    for comp in build_operator(model, x).components:
+        z_star = warp_points(comp.warp, x_star, comp.grid.ndim)
+        w_star = interpolation_weights(comp.grid, z_star)
         t = comp.weights.rmatvec(alpha)
         mean = w_star.matvec(comp.kuu.matvec(t))
         per_component.append(mean)
@@ -439,9 +405,6 @@ def exact_separation_means(model, x, y):
     y = np.asarray(y, dtype=float)
     k = dense_mixture_matrix(model, x)
     alpha = scipy.linalg.cho_solve(scipy.linalg.cho_factor(k, lower=True), y)
-    means = []
-    for c in model.components:
-        z = warp_points(c.warp, np.asarray(x, dtype=float), c.grid.ndim)
-        kj = dense_matrix(c.kernel, z)
-        means.append(kj @ alpha)
+    means = [dense_matrix(c.kernel, warp_points(c.warp, x, c.grid.ndim))
+             @ alpha for c in model.components]
     return means, alpha

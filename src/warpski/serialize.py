@@ -13,11 +13,10 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .grids import InducingGrid
-from .kernels import (Kernel, Periodic, Product, QuasiPeriodic,
-                      SquaredExponential, Sum)
+from .kernels import Periodic, Product, QuasiPeriodic, SquaredExponential, Sum
 from .model import GpComponent, GpModel
 from .warping import (ElementwiseWarp, Identity, PiecewiseLinearPhase,
-                      Polynomial1D, Warp)
+                      Polynomial1D)
 
 
 def kernel_to_dict(kernel):

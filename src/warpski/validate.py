@@ -22,7 +22,7 @@ from .model import (GpComponent, GpModel, approx_nlml, build_operator,
                     exact_nlml, separate)
 from .operators import build_component
 from .structured import KronOperator, SymToeplitz
-from .warping import ElementwiseWarp, Identity, Polynomial1D, phase_from_events
+from .warping import Identity, Polynomial1D, phase_from_events
 
 _CHECKS = []
 

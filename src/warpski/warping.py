@@ -22,7 +22,6 @@ _REAL_ROOT_RTOL = 1e-6
 class Warp:
     """Base class: an invertible map on R^dim."""
 
-    kind = "base"
     dim = 1
 
     def forward(self, x):
@@ -82,8 +81,6 @@ class Warp1D(Warp):
 class Identity(Warp1D):
     """The identity map."""
 
-    kind = "identity"
-
     def _forward_raw(self, x):
         return np.asarray(x, dtype=float).copy()
 
@@ -100,8 +97,6 @@ class Polynomial1D(Warp1D):
     derivative has no real root in the closed domain and is positive at
     its midpoint.
     """
-
-    kind = "polynomial"
 
     def __init__(self, coeffs, domain):
         super().__init__(domain)
@@ -157,8 +152,6 @@ class PiecewiseLinearPhase(Warp1D):
     is defined on all of R.
     """
 
-    kind = "phase"
-
     def __init__(self, knot_times, knot_phases, domain=None):
         super().__init__(domain)
         t = np.asarray(knot_times, dtype=float)
@@ -192,8 +185,6 @@ class PiecewiseLinearPhase(Warp1D):
 class ElementwiseWarp(Warp):
     """Vector of 1-D warps applied per input dimension."""
 
-    kind = "elementwise"
-
     def __init__(self, warps):
         warps = list(warps)
         if not warps:
@@ -221,7 +212,7 @@ class ElementwiseWarp(Warp):
                          for d, w in enumerate(self.warps)], axis=-1)
 
 
-def phase_from_events(event_times, two_pi_per_event=True, domain=None):
+def phase_from_events(event_times):
     """Monotone phase warp from event annotations (e.g. detected R peaks).
 
     The phase advances by 2*pi per event interval (phi(t_k) = 2*pi*k),
@@ -229,10 +220,4 @@ def phase_from_events(event_times, two_pi_per_event=True, domain=None):
     and last event with the adjacent interval's slope.
     """
     t = np.asarray(event_times, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("need at least 2 event times")
-    if np.any(np.diff(t) <= 0.0):
-        raise MonotonicityError("event times must be strictly increasing")
-    step = 2.0 * np.pi if two_pi_per_event else 1.0
-    phases = step * np.arange(t.size)
-    return PiecewiseLinearPhase(t, phases, domain=domain)
+    return PiecewiseLinearPhase(t, 2.0 * np.pi * np.arange(t.size))

@@ -12,7 +12,7 @@ from warpski.csvio import load_events_csv, load_series_csv, save_columns_csv
 from warpski.exceptions import ConfigError, CsvFormatError
 from warpski.grids import grid_covering_box
 from warpski.kernels import Periodic, Product, QuasiPeriodic, SquaredExponential
-from warpski.metrics import nrmse, rmse, snr_improvement
+from warpski.metrics import rmse, snr_improvement
 from warpski.model import GpComponent, GpModel
 from warpski.warping import (ElementwiseWarp, Identity, Polynomial1D,
                              phase_from_events)
@@ -21,10 +21,6 @@ from warpski.warping import (ElementwiseWarp, Identity, Polynomial1D,
 class TestMetrics:
     def test_rmse_known_value(self):
         assert rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
-
-    def test_nrmse_normalizes_by_range(self):
-        assert nrmse([1.0, 2.0], [0.0, 10.0]) == pytest.approx(
-            rmse([1.0, 2.0], [0.0, 10.0]) / 10.0)
 
     def test_snr_improvement_known_value(self):
         truth = np.zeros(4)
@@ -137,12 +133,14 @@ class TestConfigRoundTrip:
 class TestExperimentConfig:
     def test_unknown_field_raises_with_name(self):
         from warpski.experiments import ExperimentConfig
-        with pytest.raises(ConfigError, match="typo_field"):
-            ExperimentConfig.from_dict({"typo_field": 3})
+        for name in ("typo_field", "compare_oracle", "fit_lengthscales"):
+            with pytest.raises(ConfigError, match=name):
+                ExperimentConfig.from_dict({name: 3})
 
     def test_invalid_values_rejected(self):
         from warpski.experiments import ExperimentConfig
         for data, match in [
+                ({"kind": "custom"}, "kind:"),
                 ({"noise": -1.0}, "noise"),
                 ({"noise": float("nan")}, "noise"),
                 ({"n": 0}, "n:"),

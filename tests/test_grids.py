@@ -23,13 +23,6 @@ class TestInducingGrid:
         with pytest.raises(GridError):
             InducingGrid([np.array([0.0, 1.0, 0.5, 2.0, 3, 4, 5, 6])])
 
-    def test_safe_box_excludes_border_nodes(self):
-        axis = np.linspace(0, 1, 11)
-        g = InducingGrid([axis])
-        lo, hi = g.safe_box()
-        assert lo[0] == pytest.approx(axis[1])
-        assert hi[0] == pytest.approx(axis[-2])
-
 
 class TestBuildGrid:
     def test_from_min_max_count(self):
@@ -43,7 +36,7 @@ class TestBuildGrid:
 
     def test_covering_box_leaves_margin(self):
         box = [(-1.0, 1.0)]
-        g = grid_covering_box(box, [32], margin_cells=3)
+        g = grid_covering_box(box, [32])
         h = np.diff(g.axes[0])[0]
         assert g.axes[0][0] == pytest.approx(-1.0 - 3 * h)
         assert g.axes[0][-1] == pytest.approx(1.0 + 3 * h)
@@ -64,7 +57,6 @@ class TestInterpolationWeights:
         g = grid_covering_box([(-1.0, 1.0)] * d, counts)
         pts = rng.uniform(-1, 1, size=(100, d))
         w = interpolation_weights(g, pts if d > 1 else pts[:, 0])
-        assert w.nnz_per_row == 4 ** d
         np.testing.assert_array_equal(np.diff(w.matrix.indptr), 4 ** d)
 
     def test_midpoint_weights_match_closed_form(self):

@@ -62,16 +62,6 @@ class TestCgSolve:
         assert rep.iterations == 2
         assert len(calls) <= 4
 
-    def test_warm_start(self):
-        rng = np.random.default_rng(2)
-        n = 60
-        k = _spd(rng, n)
-        y = rng.normal(size=n)
-        x_star = np.linalg.solve(k, y)
-        rep = cg_solve(lambda v: k @ v, y, tol=1e-12, x0=x_star)
-        assert rep.converged
-        assert rep.iterations == 0
-
     def test_energy_norm_error_decreases_monotonically(self):
         rng = np.random.default_rng(3)
         n = 70

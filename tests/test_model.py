@@ -10,8 +10,7 @@ from warpski.exceptions import (ConfigError, NonFiniteInputError,
 from warpski.grids import grid_covering_box
 from warpski.kernels import Periodic, Product, SquaredExponential
 from warpski.krylov import ProbeSet, slq_probes
-from warpski.model import (GpComponent, GpModel, LogNormalPrior,
-                           _log_divided_difference,
+from warpski.model import (GpComponent, GpModel, _log_divided_difference,
                            _projected_trace_gradient, approx_nlml,
                            build_operator, dense_mixture_matrix,
                            exact_nlml, exact_separation_means, fit,
@@ -313,16 +312,6 @@ class TestFit:
         result = fit(m, x, y)
         assert result.flag == "no_free_parameters"
         np.testing.assert_array_equal(result.model.theta, m.theta)
-
-    def test_hyperprior_pulls_parameter_toward_mode(self):
-        m = _model_1d(amplitude=1.0)
-        m.fixed[:] = True
-        m.fixed[0] = False
-        x, y = _data(150)
-        loose = fit(m, x, y, max_steps=30, cg_tol=1e-6)
-        tight = fit(m, x, y, max_steps=30, cg_tol=1e-6,
-                    hyperpriors=[LogNormalPrior(0, mode=5.0, log_std=0.01)])
-        assert np.exp(tight.model.theta[0]) > np.exp(loose.model.theta[0])
 
     def test_rejects_nonfinite_data_naming_field_and_index(self):
         m = _model_1d()

@@ -152,6 +152,7 @@ def test_event_phase_round_trip(seed):
 
 @FAST
 @given(n=st.integers(5, 120), seed=seeds)
+@example(n=18, seed=29)  # needs more than n CG steps in finite precision
 def test_separation_means_and_noise_reconstruct_data(n, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
@@ -167,8 +168,7 @@ def test_separation_means_and_noise_reconstruct_data(n, seed):
                     noise=rng.uniform(0.1, 1.0))
     cg_tol = 1e-6
     sep = separate(model, x, y, cg_tol=cg_tol)
+    assert not sep.flagged
     identity = y - sum(sep.means) - model.noise_variance * sep.alpha
-    # a flagged solve reports the residual it reached instead of cg_tol;
     # CG stops on its recursive residual, so allow rounding drift on top
-    reached = sep.cg_report.residual if sep.flagged else cg_tol
-    assert np.linalg.norm(identity) <= 1.01 * reached * np.linalg.norm(y)
+    assert np.linalg.norm(identity) <= 1.01 * cg_tol * np.linalg.norm(y)

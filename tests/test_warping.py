@@ -98,12 +98,6 @@ class TestPhaseFromEvents:
         np.testing.assert_allclose(w.forward(events),
                                    2 * np.pi * np.arange(5), atol=1e-12)
 
-    def test_unit_step_option(self):
-        events = np.array([0.0, 1.0, 2.5])
-        w = phase_from_events(events, two_pi_per_event=False)
-        np.testing.assert_allclose(w.forward(events), [0.0, 1.0, 2.0],
-                                   atol=1e-14)
-
     def test_monotone_everywhere(self):
         rng = np.random.default_rng(2)
         events = np.cumsum(rng.uniform(0.6, 1.2, 40))
