@@ -6,7 +6,7 @@ from .warping import (ElementwiseWarp, Identity, PiecewiseLinearPhase,
                       Polynomial1D, phase_from_events)
 from .grids import (InducingGrid, InterpWeights, build_grid,
                     grid_covering_box, interpolation_weights, warped_grid)
-from .structured import KronEigen, KronOperator, SymToeplitz
+from .structured import KronOperator, SymToeplitz
 from .operators import MixtureOperator, SkiComponent, build_component
 from .krylov import (CgReport, LanczosFactor, ProbeSet, cg_solve, lanczos,
                      slq_logdet, slq_probes)

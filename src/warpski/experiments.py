@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -24,6 +25,14 @@ from .metrics import rmse, snr_improvement
 from .model import (GpComponent, GpModel, approx_nlml, build_operator, fit,
                     sample_prior, separate)
 from .warping import ElementwiseWarp, Identity, Polynomial1D, phase_from_events
+
+
+# Scalar settings that must be positive; NaN fails the check as well.
+_POSITIVE_FIELDS = (
+    "n", "noise", "cg_tol_inference", "cg_tol_separation", "n_probes",
+    "lanczos_steps", "max_steps", "amplitude", "lengthscale", "start_noise",
+    "start_amplitude", "start_lengthscale", "dt", "maternal_period",
+    "period_ratio", "env_lengthscale", "per_lengthscale", "grid_per_cycle")
 
 
 @dataclass
@@ -67,18 +76,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("numeric2d", "separation1d"):
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
-        if not self.n > 0:
-            raise ConfigError("n: must be a positive integer")
-        if not self.noise > 0:
-            raise ConfigError("noise: must be positive")
-        for name in ("cg_tol_inference", "cg_tol_separation"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name}: must be positive")
-        for name in ("n_probes", "lanczos_steps", "max_steps"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name}: must be a positive integer")
-        if not self.dt > 0:
-            raise ConfigError("dt: must be positive")
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value > 0):
+                raise ConfigError(f"{name}: must be a positive number")
         amps = self.amplitudes
         if len(amps) != 2 or not all(a > 0 for a in amps):
             raise ConfigError("amplitudes: need exactly 2, all positive")
@@ -134,18 +135,20 @@ def _timeit(fn):
     return float(np.median(times))
 
 
-def _write_report(config, report, extra_tables):
+def _write_outputs(config, tables, report=None):
+    """Under ``out_dir``: config_echo.json, report.csv and CSV tables."""
     if config.out_dir is None:
         return
     os.makedirs(config.out_dir, exist_ok=True)
     with open(os.path.join(config.out_dir, "config_echo.json"), "w") as fh:
         json.dump(config.to_dict(), fh, indent=2)
-    with open(os.path.join(config.out_dir, "report.csv"), "w") as fh:
-        fh.write("name,value\n")
-        for name, value in report.rows():
-            fh.write(f"{name},{value!r}\n" if isinstance(value, str)
-                     else f"{name},{value}\n")
-    for relpath, columns in extra_tables.items():
+    if report is not None:
+        with open(os.path.join(config.out_dir, "report.csv"), "w") as fh:
+            fh.write("name,value\n")
+            for name, value in report.rows():
+                fh.write(f"{name},{value!r}\n" if isinstance(value, str)
+                         else f"{name},{value}\n")
+    for relpath, columns in tables.items():
         save_columns_csv(os.path.join(config.out_dir, relpath), columns)
 
 
@@ -183,6 +186,25 @@ def _sample_numeric2d(config):
     return x, draw
 
 
+def _infer_numeric2d(config, model, x, y):
+    """Build the operator, time CG and the value-only NLML on it, separate.
+
+    Returns the ``separate`` result and the two timings.
+    """
+    op = build_operator(model, x)
+    timings = {
+        "inference": _timeit(
+            lambda: cg_solve(op.matvec, y, tol=config.cg_tol_inference)),
+        "nlml_eval": _timeit(
+            lambda: approx_nlml(model, x, y, n_probes=config.n_probes,
+                                seed=config.seed,
+                                cg_tol=config.cg_tol_inference,
+                                lanczos_steps=config.lanczos_steps,
+                                with_gradient=False, operator=op))}
+    sep = separate(model, x, y, cg_tol=config.cg_tol_inference, operator=op)
+    return sep, timings
+
+
 def run_numeric2d(config):
     """Sample a warped-SE draw, learn hyperparameters, infer and report."""
     x, draw = _sample_numeric2d(config)
@@ -203,32 +225,23 @@ def run_numeric2d(config):
     t_learn = time.perf_counter() - t0
     fitted = result.model
 
-    op = build_operator(fitted, x)
-    t_inference = _timeit(
-        lambda: cg_solve(op.matvec, y, tol=config.cg_tol_inference))
-    sep = separate(fitted, x, y, cg_tol=config.cg_tol_inference, operator=op)
+    sep, timings = _infer_numeric2d(config, fitted, x, y)
     posterior_mean = sum(sep.means)
-    t_nlml = _timeit(
-        lambda: approx_nlml(fitted, x, y, n_probes=config.n_probes,
-                            seed=config.seed, cg_tol=config.cg_tol_inference,
-                            lanczos_steps=config.lanczos_steps,
-                            with_gradient=False, operator=op))
 
     learned = {name: float(v) for name, v in
                zip(fitted.param_names, np.exp(fitted.theta))}
     report = RunReport(
         kind="numeric2d", n=config.n,
         m_total=fitted.components[0].grid.total_size,
-        timings={"inference": t_inference, "nlml_eval": t_nlml,
-                 "learning": t_learn},
+        timings={**timings, "learning": t_learn},
         metrics={"rmse": rmse(posterior_mean, draw.latent),
                  "nlml": result.value},
         learned=learned,
         cg_iterations=sep.cg_report.iterations)
-    _write_report(config, report, extra_tables={
-        os.path.join("curves", "posterior.csv"): {
-            "x0": x[:, 0], "x1": x[:, 1], "y": y,
-            "latent_truth": draw.latent, "posterior_mean": posterior_mean}})
+    _write_outputs(config, {os.path.join("curves", "posterior.csv"): {
+        "x0": x[:, 0], "x1": x[:, 1], "y": y,
+        "latent_truth": draw.latent, "posterior_mean": posterior_mean}},
+        report)
     return report
 
 
@@ -336,7 +349,7 @@ def run_separation1d(config):
         "mean_maternal": sep.means[0], "mean_fetal": sep.means[1],
         **({"truth_maternal": truths[0], "truth_fetal": truths[1]}
            if truths is not None else {})}}
-    _write_report(config, report, extra_tables=tables)
+    _write_outputs(config, tables, report)
     return report
 
 
@@ -344,43 +357,25 @@ def run_sweep(config, n_values, m_axis_counts):
     """Timing/error curves over input and inducing-point counts."""
     rows_n = {"n": [], "time_inference_s": [], "time_nlml_s": [], "rmse": []}
     for n in n_values:
-        sub = dataclasses.replace(config, n=int(n), out_dir=None,
-                                  max_steps=1)
+        sub = dataclasses.replace(config, n=int(n), out_dir=None)
         x, draw = _sample_numeric2d(sub)
-        model = numeric2d_model(sub)
-        op = build_operator(model, x)
-        t_inf = _timeit(lambda: cg_solve(op.matvec, draw.y,
-                                         tol=sub.cg_tol_inference))
-        t_nlml = _timeit(lambda: approx_nlml(
-            model, x, draw.y, n_probes=sub.n_probes, seed=sub.seed,
-            cg_tol=sub.cg_tol_inference, lanczos_steps=sub.lanczos_steps,
-            with_gradient=False, operator=op))
-        sep = separate(model, x, draw.y, cg_tol=sub.cg_tol_inference,
-                       operator=op)
-        err = rmse(sum(sep.means), draw.latent)
+        sep, timings = _infer_numeric2d(sub, numeric2d_model(sub), x,
+                                        draw.y)
         rows_n["n"].append(n)
-        rows_n["time_inference_s"].append(t_inf)
-        rows_n["time_nlml_s"].append(t_nlml)
-        rows_n["rmse"].append(err)
+        rows_n["time_inference_s"].append(timings["inference"])
+        rows_n["time_nlml_s"].append(timings["nlml_eval"])
+        rows_n["rmse"].append(rmse(sum(sep.means), draw.latent))
     rows_m = {"m_total": [], "time_inference_s": [], "mvm_time_s": []}
     for counts in m_axis_counts:
         sub = dataclasses.replace(config, out_dir=None,
                                   grid_counts=tuple(counts))
         x, draw = _sample_numeric2d(sub)
-        model = numeric2d_model(sub)
-        op = build_operator(model, x)
-        t_inf = _timeit(lambda: cg_solve(op.matvec, draw.y,
-                                         tol=sub.cg_tol_inference))
-        t_mvm = _timeit(lambda: op.matvec(draw.y))
-        rows_m["m_total"].append(model.components[0].grid.total_size)
-        rows_m["time_inference_s"].append(t_inf)
-        rows_m["mvm_time_s"].append(t_mvm)
-    if config.out_dir is not None:
-        os.makedirs(config.out_dir, exist_ok=True)
-        with open(os.path.join(config.out_dir, "config_echo.json"), "w") as fh:
-            json.dump(config.to_dict(), fh, indent=2)
-        save_columns_csv(os.path.join(config.out_dir, "curves",
-                                      "scaling_vs_n.csv"), rows_n)
-        save_columns_csv(os.path.join(config.out_dir, "curves",
-                                      "scaling_vs_m.csv"), rows_m)
+        op = build_operator(numeric2d_model(sub), x)
+        rows_m["m_total"].append(op.components[0].grid.total_size)
+        rows_m["time_inference_s"].append(_timeit(
+            lambda: cg_solve(op.matvec, draw.y, tol=sub.cg_tol_inference)))
+        rows_m["mvm_time_s"].append(_timeit(lambda: op.matvec(draw.y)))
+    _write_outputs(config, {
+        os.path.join("curves", "scaling_vs_n.csv"): rows_n,
+        os.path.join("curves", "scaling_vs_m.csv"): rows_m})
     return rows_n, rows_m

@@ -14,6 +14,7 @@ import scipy.sparse
 from .exceptions import (DimensionMismatchError, GridError,
                          InterpolationRegionError)
 from .kernels import check_equispaced
+from .structured import as_operand
 from .warping import ElementwiseWarp, Warp
 
 MIN_AXIS_COUNT = 8
@@ -161,18 +162,10 @@ class InterpWeights:
         return self.matrix.shape
 
     def matvec(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.shape[1]:
-            raise DimensionMismatchError(
-                f"operand has length {v.shape[0]}, expected {self.shape[1]}")
-        return self.matrix @ v
+        return self.matrix @ as_operand(v, self.shape[1])
 
     def rmatvec(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.shape[0]:
-            raise DimensionMismatchError(
-                f"operand has length {v.shape[0]}, expected {self.shape[0]}")
-        return self.matrix.T @ v
+        return self.matrix.T @ as_operand(v, self.shape[0])
 
     def dense(self):
         return self.matrix.toarray()

@@ -20,7 +20,6 @@ from .grids import InducingGrid, interpolation_weights
 from .kernels import Kernel, dense_matrix, pairwise_lags
 from .krylov import CgReport, ProbeSet, cg_solve, slq_probes
 from .operators import MixtureOperator, build_component, warp_points
-from .structured import KronEigen, SymToeplitz
 from .warping import Warp
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -370,12 +369,11 @@ class PriorSample:
 
 
 def sample_prior(model, x, seed):
-    """Draw from the approximate prior using Kronecker eigen square roots.
+    """Draw from the approximate prior through Kronecker square roots.
 
-    Each component draws u ~ N(0, K_UU) through per-factor symmetric
-    square roots of its ``kuu`` factors and interpolates f = W u to the
-    data points with its ``weights``; targets add white noise at the
-    model's noise level.
+    Each component draws u ~ N(0, K_UU) as ``kuu.sqrt()`` applied to white
+    noise and interpolates f = W u to the data points with its
+    ``weights``; targets add white noise at the model's noise level.
     """
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
@@ -383,17 +381,7 @@ def sample_prior(model, x, seed):
     latents = []
     for c in model.components:
         comp = build_component(c.kernel, c.warp, c.grid, x)
-        try:
-            eig = KronEigen(comp.kuu.factors)
-        except NotPositiveDefiniteError:
-            # jitter-and-retry once
-            jittered = []
-            for f in comp.kuu.factors:
-                col = f.first_column.copy()
-                col[0] += 1e-10 * max(col[0], 1.0)
-                jittered.append(SymToeplitz(col))
-            eig = KronEigen(jittered)
-        u = eig.sqrt_operator().matvec(rng.standard_normal(c.grid.total_size))
+        u = comp.kuu.sqrt().matvec(rng.standard_normal(c.grid.total_size))
         latents.append(comp.weights.matvec(u))
     latent = np.sum(latents, axis=0) if latents else np.zeros(n)
     y = latent + model.noise * rng.standard_normal(n)

@@ -13,7 +13,7 @@ import numpy as np
 from .exceptions import DimensionMismatchError
 from .grids import InducingGrid, interpolation_weights, warped_grid
 from .kernels import Kernel, Product, dense_matrix, toeplitz_column
-from .structured import KronOperator, SymToeplitz
+from .structured import KronOperator, SymToeplitz, as_operand
 from .warping import ElementwiseWarp, Warp
 
 
@@ -183,10 +183,7 @@ class MixtureOperator:
         return ("noise",)
 
     def matvec(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.n:
-            raise DimensionMismatchError(
-                f"operand has length {v.shape[0]}, expected {self.n}")
+        v = as_operand(v, self.n)
         out = self.noise_variance * v
         for c in self.components:
             out = out + c.matvec(v)

@@ -27,6 +27,15 @@ PSD_RTOL = 1e-8
 DENSE_MAX_ORDER = 256
 
 
+def as_operand(v, size):
+    """``v`` as a float array of shape ``(size,)`` or ``(size, p)``."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[0] != size:
+        raise DimensionMismatchError(
+            f"operand has shape {v.shape}, expected ({size},) or ({size}, p)")
+    return v
+
+
 class SymToeplitz:
     """Symmetric Toeplitz matrix given by its first column.
 
@@ -56,11 +65,8 @@ class SymToeplitz:
 
     def matmat(self, v):
         """Product with a vector or with the columns of a matrix."""
-        v = np.asarray(v, dtype=float)
         m = self.shape[0]
-        if v.shape[0] != m:
-            raise DimensionMismatchError(
-                f"operand has leading dimension {v.shape[0]}, expected {m}")
+        v = as_operand(v, m)
         if self._dense is not None:
             return self._dense @ v
         spec = scipy.fft.rfft(v, n=self._len, axis=0)
@@ -107,56 +113,37 @@ class KronOperator:
         self.shape = (n, n)
 
     def matvec(self, v):
-        v = np.asarray(v, dtype=float)
-        single = v.ndim == 1
-        if v.shape[0] != self.shape[0]:
-            raise DimensionMismatchError(
-                f"operand has length {v.shape[0]}, expected {self.shape[0]}")
-        nrhs = 1 if single else v.shape[1]
-        x = v.reshape(self.sizes + (nrhs,))
-        ndim = len(self.sizes)
+        v = as_operand(v, self.shape[0])
+        x = v.reshape(self.sizes + (-1,))
         for d, f in enumerate(self.factors):
             x = np.moveaxis(x, d, 0)
-            lead = x.shape[0]
-            rest = x.shape[1:]
-            x = _apply_factor(f, x.reshape(lead, -1)).reshape((lead,) + rest)
+            x = _apply_factor(f, x.reshape(x.shape[0], -1)).reshape(x.shape)
             x = np.moveaxis(x, 0, d)
-        out = x.reshape(self.shape[0], nrhs)
-        return out[:, 0] if single else out
+        return x.reshape(v.shape)
 
     matmat = matvec
+
+    def sqrt(self):
+        """KronOperator A with A A^T = K, from per-factor eigen square roots.
+
+        Each factor is densified and decomposed; eigenvalues are clipped
+        at 0. A factor with an eigenvalue below ``-PSD_RTOL`` times its
+        largest raises ``NotPositiveDefiniteError``.
+        """
+        roots = []
+        for i, f in enumerate(self.factors):
+            a = _factor_dense(f)
+            vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
+            top = max(vals.max(), 0.0)
+            if vals.min() < -PSD_RTOL * max(top, 1e-300):
+                raise NotPositiveDefiniteError(
+                    f"factor {i} (order {a.shape[0]}) has eigenvalue "
+                    f"{vals.min():.3e} below -{PSD_RTOL:g} * max")
+            roots.append(vecs * np.sqrt(np.maximum(vals, 0.0))[None, :])
+        return KronOperator(roots)
 
     def dense(self):
         out = _factor_dense(self.factors[0])
         for f in self.factors[1:]:
             out = np.kron(out, _factor_dense(f))
         return out
-
-
-class KronEigen:
-    """Per-factor eigendecomposition of a Kronecker-structured PSD matrix.
-
-    Each factor is densified and decomposed (desk scale); a factor with an
-    eigenvalue below ``-PSD_RTOL`` times its largest raises
-    ``NotPositiveDefiniteError``. Used for prior sampling.
-    """
-
-    def __init__(self, factors):
-        dense = [_factor_dense(f) for f in factors]
-        self.eigvals = []
-        self.eigvecs = []
-        for i, a in enumerate(dense):
-            vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
-            top = max(vals.max(), 0.0)
-            if vals.min() < -PSD_RTOL * max(top, 1e-300):
-                raise NotPositiveDefiniteError(
-                    f"factor {i} has eigenvalue {vals.min():.3e} below "
-                    f"-{PSD_RTOL:g} * max")
-            self.eigvals.append(np.maximum(vals, 0.0))
-            self.eigvecs.append(vecs)
-
-    def sqrt_operator(self):
-        """KronOperator A with A A^T = K, for prior sampling."""
-        roots = [q * np.sqrt(v)[None, :]
-                 for q, v in zip(self.eigvecs, self.eigvals)]
-        return KronOperator(roots)

@@ -151,6 +151,17 @@ class TestExperimentConfig:
                 ({"lanczos_steps": float("nan")}, "lanczos_steps:"),
                 ({"max_steps": float("nan")}, "max_steps:"),
                 ({"dt": 0.0}, "dt:"),
+                ({"amplitude": -1.0}, "amplitude:"),
+                ({"lengthscale": 0.0}, "lengthscale:"),
+                ({"start_noise": 0.0}, "start_noise:"),
+                ({"start_amplitude": -1.0}, "start_amplitude:"),
+                ({"start_lengthscale": float("nan")}, "start_lengthscale:"),
+                ({"maternal_period": 0.0}, "maternal_period:"),
+                ({"period_ratio": -2.8}, "period_ratio:"),
+                ({"env_lengthscale": 0.0}, "env_lengthscale:"),
+                ({"per_lengthscale": float("nan")}, "per_lengthscale:"),
+                ({"grid_per_cycle": 0}, "grid_per_cycle:"),
+                ({"noise": "0.5"}, "noise:"),
                 ({"amplitudes": [1.0]}, "amplitudes:"),
                 ({"amplitudes": [1.0, 0.4, 0.2]}, "amplitudes:"),
                 ({"amplitudes": [1.0, -0.4]}, "amplitudes:"),
@@ -202,6 +213,38 @@ class TestCliSmoke:
         code = main(["numeric2d", "--config", str(bad)])
         assert code == 2
         assert "not_a_field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,field,value", [
+        ("separate", "maternal_period", 0.0),
+        ("numeric2d", "amplitude", -1.0)])
+    def test_bad_scalar_in_config_exits_2(self, tmp_path, capsys, command,
+                                          field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({field: value}))
+        assert main([command, "--config", str(bad)]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+
+    def test_sweep_smoke(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--n-values", "200,300",
+                     "--m-counts", "16x16,20x20", "--n-probes", "4",
+                     "--out", str(out)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "scaling vs n:"
+        assert [line.split(":")[0] for line in lines[1:3]] == \
+            ["  n=200", "  n=300"]
+        assert lines[3] == "scaling vs m:"
+        assert [line.split(":")[0] for line in lines[4:]] == \
+            ["  m=256", "  m=400"]
+        assert (out / "config_echo.json").exists()
+        by_n = load_series_csv(str(out / "curves" / "scaling_vs_n.csv"))
+        np.testing.assert_array_equal(by_n["n"], [200, 300])
+        # the posterior mean is closer to the latent truth than the data
+        assert np.all(by_n["rmse"] < 0.5)
+        by_m = load_series_csv(str(out / "curves" / "scaling_vs_m.csv"))
+        np.testing.assert_array_equal(by_m["m_total"], [256, 400])
+        assert np.all(by_m["mvm_time_s"] > 0)
 
     def test_separate_smoke(self, tmp_path, capsys):
         out = tmp_path / "sep"

@@ -7,6 +7,7 @@ from warpski.kernels import (Periodic, Product, QuasiPeriodic,
                              SquaredExponential)
 from warpski.operators import (MixtureOperator, build_component,
                                decompose_separable, warp_points)
+from warpski.structured import KronOperator, SymToeplitz
 from warpski.warping import ElementwiseWarp, Identity, Polynomial1D
 
 
@@ -156,3 +157,32 @@ class TestMixtureOperator:
             MixtureOperator([], -1.0, 10)
         with pytest.raises(ValueError):
             MixtureOperator([], float("nan"), 10)
+
+
+def _entry_points():
+    """(name, operand length, product) for every operator entry point."""
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, 50)
+    grid = grid_covering_box([(-1.0, 1.0)], [16])
+    comp = build_component(SquaredExponential(1.0, 0.3), Identity(), grid, x)
+    w = comp.weights
+    kron = KronOperator([SymToeplitz(np.ones(4)), SymToeplitz(np.ones(5))])
+    return {
+        "toeplitz-dense": (6, SymToeplitz(np.ones(6)).matmat),
+        "toeplitz-fft": (300, SymToeplitz(np.ones(300)).matmat),
+        "kron": (20, kron.matvec),
+        "w": (w.shape[1], w.matvec),
+        "wt": (w.shape[0], w.rmatvec),
+        "mixture": (x.size, MixtureOperator([comp], 0.1, x.size).matvec),
+    }
+
+
+@pytest.mark.parametrize("operand", ["wrong-length", "0-d", "3-d"])
+@pytest.mark.parametrize("entry", ["toeplitz-dense", "toeplitz-fft", "kron",
+                                   "w", "wt", "mixture"])
+def test_operand_shape_checked(entry, operand):
+    size, product = _entry_points()[entry]
+    v = {"wrong-length": np.ones(size + 1), "0-d": np.ones(()),
+         "3-d": np.ones((size, 2, 3))}[operand]
+    with pytest.raises(DimensionMismatchError, match=f"expected \\({size},\\)"):
+        product(v)
+    assert product(np.ones((size, 2))).shape[1] == 2

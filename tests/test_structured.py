@@ -4,7 +4,8 @@ import scipy.linalg
 
 from warpski.exceptions import (DimensionMismatchError,
                                 NotPositiveDefiniteError)
-from warpski.structured import KronEigen, KronOperator, SymToeplitz
+from warpski.structured import (DENSE_MAX_ORDER, KronOperator,
+                                SymToeplitz)
 
 
 class TestSymToeplitz:
@@ -70,23 +71,28 @@ class TestKronOperator:
             KronOperator([])
 
 
-def _spd_toeplitz(rng, m):
+def _spd_toeplitz(m):
     # SE-type column gives a positive definite Toeplitz matrix
     lags = np.arange(m, dtype=float)
     return SymToeplitz(np.exp(-0.5 * (lags / (0.15 * m)) ** 2))
 
 
-class TestKronEigen:
-    def test_sqrt_operator_squares_to_matrix(self):
-        rng = np.random.default_rng(8)
-        factors = [_spd_toeplitz(rng, 8), _spd_toeplitz(rng, 7)]
-        eig = KronEigen(factors)
-        root = eig.sqrt_operator()
-        dense_root = root.dense()
-        np.testing.assert_allclose(dense_root @ dense_root.T,
+class TestKronSqrt:
+    @pytest.mark.parametrize("orders", [(8, 7), (3, DENSE_MAX_ORDER + 1)],
+                             ids=["dense-dense", "dense-fft"])
+    def test_squares_to_matrix(self, orders):
+        factors = [_spd_toeplitz(m) for m in orders]
+        # the seam between stored-dense and FFT factors is covered
+        assert [f._dense is None for f in factors] == \
+            [m > DENSE_MAX_ORDER for m in orders]
+        root = KronOperator(factors).sqrt().dense()
+        np.testing.assert_allclose(root @ root.T,
                                    KronOperator(factors).dense(),
                                    rtol=1e-8, atol=1e-10)
 
     def test_rejects_indefinite_factor(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            KronEigen([np.diag([1.0, -1.0])])
+        # eigenvalues of toeplitz([1, 2]) are 3 and -1
+        op = KronOperator([_spd_toeplitz(4), SymToeplitz([1.0, 2.0])])
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"factor 1 \(order 2\)"):
+            op.sqrt()
