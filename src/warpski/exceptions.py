@@ -30,7 +30,7 @@ class InterpolationRegionError(WarpskiError):
 
 
 class NonFiniteInputError(WarpskiError):
-    """Input data hold a nan or inf value."""
+    """Input data, or values computed from them, hold a nan or inf."""
 
 
 class NotPositiveDefiniteError(WarpskiError):

@@ -33,6 +33,8 @@ _POSITIVE_FIELDS = (
     "lanczos_steps", "max_steps", "amplitude", "lengthscale", "start_noise",
     "start_amplitude", "start_lengthscale", "dt", "maternal_period",
     "period_ratio", "env_lengthscale", "per_lengthscale", "grid_per_cycle")
+_INTEGER_FIELDS = ("n", "n_probes", "lanczos_steps", "max_steps",
+                   "grid_per_cycle")
 
 
 @dataclass
@@ -78,8 +80,16 @@ class ExperimentConfig:
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and value > 0):
-                raise ConfigError(f"{name}: must be a positive number")
+            kind = "integer" if name in _INTEGER_FIELDS else "number"
+            if not (isinstance(value, numbers.Integral if kind == "integer"
+                               else numbers.Real) and value > 0):
+                raise ConfigError(f"{name}: must be a positive {kind}")
+        if not (isinstance(self.period_jitter, numbers.Real)
+                and 0 <= self.period_jitter < np.inf):
+            raise ConfigError("period_jitter: must be finite and >= 0")
+        if not all(np.shape(b) == (2,) and -np.inf < b[0] < b[1] < np.inf
+                   for b in self.data_box):
+            raise ConfigError("data_box: need finite (lo, hi) with lo < hi")
         amps = self.amplitudes
         if len(amps) != 2 or not all(a > 0 for a in amps):
             raise ConfigError("amplitudes: need exactly 2, all positive")

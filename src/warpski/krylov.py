@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .exceptions import NotPositiveDefiniteError
+from .exceptions import NonFiniteInputError, NotPositiveDefiniteError
 
 
 @dataclass
@@ -97,8 +97,9 @@ class LanczosFactor:
 
     def ritz(self):
         """Eigenvalues of T and first components of its eigenvectors."""
-        vals, vecs = scipy.linalg.eigh_tridiagonal(self.alphas, self.betas)
-        return vals, vecs
+        if not np.all(np.isfinite(np.r_[self.alphas, self.betas])):
+            raise NonFiniteInputError("Lanczos T is not finite: K overflows")
+        return scipy.linalg.eigh_tridiagonal(self.alphas, self.betas)
 
 
 def lanczos(apply, start_vector, k):
@@ -149,7 +150,8 @@ def slq_probes(apply, probes, k):
     ``vals, vecs`` are the Ritz pairs of the factor's tridiagonal T and
     ``quad`` = ||z||^2 e_1^T log(T) e_1 is the Gauss quadrature of
     z^T log(K) z. Only the current basis is held. Raises
-    ``NotPositiveDefiniteError`` on a nonpositive Ritz value.
+    ``NotPositiveDefiniteError`` on a nonpositive Ritz value and
+    ``NonFiniteInputError`` on a non-finite T.
     """
     for i in range(probes.count):
         z = probes.vectors[:, i]

@@ -20,6 +20,7 @@ from .grids import InducingGrid, interpolation_weights
 from .kernels import Kernel, dense_matrix, pairwise_lags
 from .krylov import CgReport, ProbeSet, cg_solve, slq_probes
 from .operators import MixtureOperator, build_component, warp_points
+from .structured import mode_products, toeplitz_root
 from .warping import Warp
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -282,9 +283,9 @@ def fit(model, x, y, max_steps=100, seed=0, n_probes=20, cg_tol=1e-2,
                 m, x, y, n_probes=n_probes, seed=seed,
                 cg_tol=cg_tol, lanczos_steps=lanczos_steps)
             state["cg_unconverged"] += not diag["cg_converged"]
-        except NotPositiveDefiniteError:
-            # numerically indefinite at this point; make the line search
-            # back off rather than aborting the whole fit
+        except (NotPositiveDefiniteError, NonFiniteInputError):
+            # numerically indefinite or overflowing at this point; make the
+            # line search back off rather than aborting the whole fit
             state["evals"] += 1
             return 1e30, np.zeros(free.size)
         state["evals"] += 1
@@ -369,11 +370,11 @@ class PriorSample:
 
 
 def sample_prior(model, x, seed):
-    """Draw from the approximate prior through Kronecker square roots.
+    """Draw from the approximate prior through per-axis square roots.
 
-    Each component draws u ~ N(0, K_UU) as ``kuu.sqrt()`` applied to white
-    noise and interpolates f = W u to the data points with its
-    ``weights``; targets add white noise at the model's noise level.
+    Each component draws u ~ N(0, K_UU), one ``structured.toeplitz_root``
+    per axis applied to white noise, and interpolates f = W u to the data
+    points with its ``weights``; targets add noise at the model's level.
     """
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
@@ -381,7 +382,10 @@ def sample_prior(model, x, seed):
     latents = []
     for c in model.components:
         comp = build_component(c.kernel, c.warp, c.grid, x)
-        u = comp.kuu.sqrt().matvec(rng.standard_normal(c.grid.total_size))
+        roots, widths = zip(*[
+            toeplitz_root(kd.eval, ax, d) for d, ((kd, _), ax)
+            in enumerate(zip(comp.axis_kernels, c.grid.axes))])
+        u = mode_products(rng.standard_normal(widths), roots).reshape(-1)
         latents.append(comp.weights.matvec(u))
     latent = np.sum(latents, axis=0) if latents else np.zeros(n)
     y = latent + model.noise * rng.standard_normal(n)

@@ -79,20 +79,45 @@ class SymToeplitz:
         return scipy.linalg.toeplitz(self.first_column)
 
 
-def _apply_factor(f, mat):
-    if isinstance(f, SymToeplitz):
-        return f.matmat(mat)
-    return np.asarray(f) @ mat
+def mode_products(x, maps):
+    """Apply ``maps[d]``, which may resize the axis, along axis d of ``x``."""
+    for d, f in enumerate(maps):
+        x = np.moveaxis(x, d, 0)
+        y = f(x.reshape(x.shape[0], -1))
+        x = np.moveaxis(y.reshape((-1,) + x.shape[1:]), 0, d)
+    return x
 
 
-def _factor_dense(f):
-    if isinstance(f, SymToeplitz):
-        return f.dense()
-    return np.asarray(f, dtype=float)
+def toeplitz_root(kernel, axis, index):
+    """``(root, width)``: for white noise ``e`` of shape ``(width, k)``, each
+    column of ``root(e)`` has covariance ``kernel(axis_i - axis_j)``.
+
+    Up to order m = ``DENSE_MAX_ORDER`` the root is the eigen square root;
+    above, circulant embedding (Wood & Chan, JCGS 1994): the first m rows of
+    ``C^{1/2} e``, C the circulant of ``kernel`` at 2s(m - 1) lags, s = 1, 2
+    or 4. Eigenvalues above ``-PSD_RTOL * max`` are clipped to 0; a lower
+    one raises ``NotPositiveDefiniteError`` naming factor ``index``.
+    """
+    m = axis.size
+    if m <= DENSE_MAX_ORDER:
+        vals, vecs = np.linalg.eigh(
+            scipy.linalg.toeplitz(kernel(axis - axis[0])))
+        if vals.min() >= -PSD_RTOL * vals.max():
+            return (vecs * np.sqrt(np.maximum(vals, 0.0))).__matmul__, m
+    for width in (2 * s * (m - 1) for s in (1, 2, 4) if m > DENSE_MAX_ORDER):
+        col = kernel(np.ptp(axis) / (m - 1) * np.arange(width // 2 + 1))
+        vals = scipy.fft.rfft(np.concatenate([col, col[-2:0:-1]])).real
+        if vals.min() >= -PSD_RTOL * vals.max():
+            scale = np.sqrt(np.maximum(vals, 0.0))[:, None]
+            return (lambda e: scipy.fft.irfft(scale * scipy.fft.rfft(
+                e, axis=0), n=width, axis=0)[:m]), width
+    raise NotPositiveDefiniteError(
+        f"factor {index} (order {m}) has eigenvalue {vals.min():.3e} below "
+        f"-{PSD_RTOL:g} * max")
 
 
 class KronOperator:
-    """Kronecker product of square per-dimension operators.
+    """Kronecker product of per-dimension ``SymToeplitz`` factors.
 
     MVMs are computed by sequential mode-d tensor contractions. The
     flattened index order is C-order (last factor fastest), matching
@@ -103,10 +128,6 @@ class KronOperator:
         factors = list(factors)
         if not factors:
             raise DimensionMismatchError("need at least one factor")
-        for f in factors:
-            s = f.shape
-            if len(s) != 2 or s[0] != s[1]:
-                raise DimensionMismatchError("factors must be square")
         self.factors = factors
         self.sizes = tuple(f.shape[0] for f in factors)
         n = int(np.prod(self.sizes))
@@ -114,36 +135,13 @@ class KronOperator:
 
     def matvec(self, v):
         v = as_operand(v, self.shape[0])
-        x = v.reshape(self.sizes + (-1,))
-        for d, f in enumerate(self.factors):
-            x = np.moveaxis(x, d, 0)
-            x = _apply_factor(f, x.reshape(x.shape[0], -1)).reshape(x.shape)
-            x = np.moveaxis(x, 0, d)
-        return x.reshape(v.shape)
+        return mode_products(v.reshape(self.sizes + (-1,)),
+                             [f.matmat for f in self.factors]).reshape(v.shape)
 
     matmat = matvec
 
-    def sqrt(self):
-        """KronOperator A with A A^T = K, from per-factor eigen square roots.
-
-        Each factor is densified and decomposed; eigenvalues are clipped
-        at 0. A factor with an eigenvalue below ``-PSD_RTOL`` times its
-        largest raises ``NotPositiveDefiniteError``.
-        """
-        roots = []
-        for i, f in enumerate(self.factors):
-            a = _factor_dense(f)
-            vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
-            top = max(vals.max(), 0.0)
-            if vals.min() < -PSD_RTOL * max(top, 1e-300):
-                raise NotPositiveDefiniteError(
-                    f"factor {i} (order {a.shape[0]}) has eigenvalue "
-                    f"{vals.min():.3e} below -{PSD_RTOL:g} * max")
-            roots.append(vecs * np.sqrt(np.maximum(vals, 0.0))[None, :])
-        return KronOperator(roots)
-
     def dense(self):
-        out = _factor_dense(self.factors[0])
+        out = self.factors[0].dense()
         for f in self.factors[1:]:
-            out = np.kron(out, _factor_dense(f))
+            out = np.kron(out, f.dense())
         return out

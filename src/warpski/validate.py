@@ -21,7 +21,7 @@ from .krylov import ProbeSet, cg_solve, lanczos, slq_logdet
 from .model import (GpComponent, GpModel, approx_nlml, build_operator,
                     exact_nlml, separate)
 from .operators import build_component
-from .structured import KronOperator, SymToeplitz
+from .structured import KronOperator, SymToeplitz, toeplitz_root
 from .warping import Identity, Polynomial1D, phase_from_events
 
 _CHECKS = []
@@ -235,6 +235,17 @@ def _structured_symmetry():
     a = float(u @ op.matvec(v))
     b = float(v @ op.matvec(u))
     assert abs(a - b) <= 1e-10 * max(abs(a), 1.0), "Kronecker operator asymmetric"
+
+
+@check("structured.prior_root_squares_to_toeplitz")
+def _prior_root():
+    kernel = QuasiPeriodic(1.0, 20.0, 0.6, 2 * np.pi)
+    for m in (128, 512):  # one dense and one circulant-embedding root
+        axis = 2 * np.pi / 24 * np.arange(m)
+        root, width = toeplitz_root(kernel.eval, axis, 0)
+        r = root(np.eye(width))
+        assert np.allclose(r @ r.T, scipy.linalg.toeplitz(kernel.eval(axis)),
+                           rtol=1e-8, atol=1e-10), f"order {m}: R R^T != T"
 
 
 @check("structured.toeplitz_mvm_near_linear_scaling")

@@ -167,7 +167,17 @@ class TestExperimentConfig:
                 ({"amplitudes": [1.0, -0.4]}, "amplitudes:"),
                 ({"grid_counts": [100]}, "grid_counts:"),
                 ({"grid_counts": [100, 7]}, "grid_counts:"),
-                ({"sample_grid_counts": [4, 160]}, "sample_grid_counts:")]:
+                ({"sample_grid_counts": [4, 160]}, "sample_grid_counts:"),
+                ({"n_probes": 2.5}, "n_probes:"),
+                ({"period_jitter": float("nan")}, "period_jitter:"),
+                ({"period_jitter": -1.0}, "period_jitter:"),
+                ({"period_jitter": float("inf")}, "period_jitter:"),
+                ({"data_box": [[1.0, 0.0], [-2.5, 2.5]]}, "data_box:"),
+                ({"data_box": [[-1.0, float("inf")], [-2.5, 2.5]]},
+                 "data_box:"),
+                ({"data_box": [[-1.0, float("nan")], [-2.5, 2.5]]},
+                 "data_box:"),
+                ({"data_box": [1.0, 2.0]}, "data_box:")]:
             with pytest.raises(ConfigError, match=match):
                 ExperimentConfig.from_dict(data)
 
@@ -216,7 +226,12 @@ class TestCliSmoke:
 
     @pytest.mark.parametrize("command,field,value", [
         ("separate", "maternal_period", 0.0),
-        ("numeric2d", "amplitude", -1.0)])
+        ("numeric2d", "amplitude", -1.0),
+        ("numeric2d", "n", 2.5),
+        ("numeric2d", "n_probes", 2.5),
+        ("numeric2d", "lanczos_steps", 2.5),
+        ("numeric2d", "max_steps", 2.5),
+        ("separate", "grid_per_cycle", 2.5)])
     def test_bad_scalar_in_config_exits_2(self, tmp_path, capsys, command,
                                           field, value):
         bad = tmp_path / "bad.json"

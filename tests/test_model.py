@@ -298,6 +298,17 @@ class TestFit:
         assert result.n_evaluations > 0
         assert len(result.trace) == result.n_evaluations
 
+    def test_overflowing_operator_backs_off(self):
+        # amplitude e^400 overflows K; the line search must back off, not
+        # die on nan Lanczos coefficients
+        m = _model_1d()
+        x, y = _data(80)
+        huge = m.with_theta(m.theta + np.array([400.0, 0.0, 0.0]))
+        with pytest.raises(NonFiniteInputError, match="overflows"):
+            approx_nlml(huge, x, y, n_probes=2, lanczos_steps=5)
+        result = fit(huge, x, y, max_steps=2)
+        assert result.flag == "no_finite_evaluation"
+
     def test_fixed_parameters_do_not_move(self):
         m = _model_1d()
         m.fixed[1] = True

@@ -1,5 +1,5 @@
-"""Property tests of the operator contract, the interpolation weights,
-the warps and the separation identity.
+"""Property tests of the operator contract, the prior-draw roots, the
+interpolation weights, the warps and the separation identity.
 
 Block Krylov methods apply an operator to ``(n, p)`` blocks, so a block
 product must equal the single-column products stacked side by side.
@@ -13,10 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpski.grids import InducingGrid, grid_covering_box, interpolation_weights
-from warpski.kernels import Periodic, SquaredExponential
+from warpski.exceptions import NotPositiveDefiniteError
+from warpski.kernels import (Periodic, QuasiPeriodic, SquaredExponential,
+                             toeplitz_column)
 from warpski.model import GpComponent, GpModel, separate
 from warpski.operators import MixtureOperator, build_component
-from warpski.structured import DENSE_MAX_ORDER, KronOperator, SymToeplitz
+from warpski.structured import (DENSE_MAX_ORDER, KronOperator, SymToeplitz,
+                                toeplitz_root)
 from warpski.warping import Identity, Polynomial1D, phase_from_events
 
 FAST = settings(max_examples=25, deadline=None)
@@ -87,6 +90,32 @@ def test_kronecker_block_equals_stacked_columns(sizes, p, seed):
     op = KronOperator([SymToeplitz(rng.normal(size=m)) for m in sizes])
     _assert_block_equals_columns(op.matmat,
                                  rng.normal(size=(op.shape[0], p)))
+
+
+positive = st.floats(0.3, 3.0)
+stationary_kernels = st.one_of(
+    st.builds(SquaredExponential, positive, st.floats(0.5, 100.0)),
+    st.builds(Periodic, positive, positive, st.floats(2.0, 100.0)),
+    st.builds(QuasiPeriodic, positive, st.floats(1.0, 200.0), positive,
+              st.floats(2.0, 100.0)))
+
+
+@FAST
+@given(kernel=stationary_kernels,
+       m=st.integers(DENSE_MAX_ORDER + 1, DENSE_MAX_ORDER + 44))
+def test_circulant_root_squares_to_factor_or_names_it(kernel, m):
+    axis = np.arange(m, dtype=float)
+    try:
+        root, width = toeplitz_root(kernel.eval, axis, 0)
+    except NotPositiveDefiniteError as err:
+        assert f"factor 0 (order {m})" in str(err)
+        return
+    # the draw is exact up to the eigenvalues clipped, each at most
+    # PSD_RTOL times the embedding's largest, itself <= its column's l1 norm
+    r = root(np.eye(width))
+    l1 = 2.0 * np.abs(kernel.eval(np.arange(width // 2 + 1.0))).sum()
+    factor = scipy.linalg.toeplitz(toeplitz_column(kernel, axis))
+    assert np.linalg.norm(r @ r.T - factor, 2) <= 1e-8 * l1
 
 
 @FAST

@@ -4,8 +4,11 @@ import scipy.linalg
 
 from warpski.exceptions import (DimensionMismatchError,
                                 NotPositiveDefiniteError)
-from warpski.structured import (DENSE_MAX_ORDER, KronOperator,
-                                SymToeplitz)
+from warpski.kernels import SquaredExponential, toeplitz_column
+from warpski.model import build_operator
+from warpski.structured import (DENSE_MAX_ORDER, KronOperator, SymToeplitz,
+                                mode_products, toeplitz_root)
+from test_acceptance import _two_source_model
 
 
 class TestSymToeplitz:
@@ -51,11 +54,12 @@ class TestKronOperator:
 
     def test_index_order_is_last_dimension_fastest(self):
         # with A (2x2) and B (3x3), entry layout must follow np.kron(A, B)
-        a = np.array([[1.0, 0.0], [0.0, 2.0]])
-        b = np.diag([1.0, 10.0, 100.0])
+        a = SymToeplitz([1.0, 0.5])
+        b = SymToeplitz([1.0, 10.0, 100.0])
         op = KronOperator([a, b])
         v = np.arange(6, dtype=float)
-        np.testing.assert_allclose(op.matvec(v), np.kron(a, b) @ v,
+        np.testing.assert_allclose(op.matvec(v),
+                                   np.kron(a.dense(), b.dense()) @ v,
                                    rtol=1e-14)
 
     def test_matrix_operand(self):
@@ -71,28 +75,52 @@ class TestKronOperator:
             KronOperator([])
 
 
-def _spd_toeplitz(m):
-    # SE-type column gives a positive definite Toeplitz matrix
-    lags = np.arange(m, dtype=float)
-    return SymToeplitz(np.exp(-0.5 * (lags / (0.15 * m)) ** 2))
+def _se_root(m, index=0):
+    kernel = SquaredExponential(1.3, 0.05 * m)
+    axis = np.arange(m, dtype=float)
+    return (SymToeplitz(toeplitz_column(kernel, axis)),
+            toeplitz_root(kernel.eval, axis, index))
 
 
-class TestKronSqrt:
-    @pytest.mark.parametrize("orders", [(8, 7), (3, DENSE_MAX_ORDER + 1)],
-                             ids=["dense-dense", "dense-fft"])
-    def test_squares_to_matrix(self, orders):
-        factors = [_spd_toeplitz(m) for m in orders]
-        # the seam between stored-dense and FFT factors is covered
-        assert [f._dense is None for f in factors] == \
-            [m > DENSE_MAX_ORDER for m in orders]
-        root = KronOperator(factors).sqrt().dense()
-        np.testing.assert_allclose(root @ root.T,
-                                   KronOperator(factors).dense(),
+class TestToeplitzRoot:
+    @pytest.mark.parametrize("m", [8, DENSE_MAX_ORDER, DENSE_MAX_ORDER + 1,
+                                   600])
+    def test_squares_to_factor(self, m):
+        factor, (root, width) = _se_root(m)
+        # dense root up to DENSE_MAX_ORDER, circulant embedding above
+        assert width == (m if m <= DENSE_MAX_ORDER else 2 * (m - 1))
+        r = root(np.eye(width))  # R, from the identity columns of the noise
+        np.testing.assert_allclose(r @ r.T, factor.dense(),
                                    rtol=1e-8, atol=1e-10)
 
-    def test_rejects_indefinite_factor(self):
-        # eigenvalues of toeplitz([1, 2]) are 3 and -1
-        op = KronOperator([_spd_toeplitz(4), SymToeplitz([1.0, 2.0])])
+    def test_kronecker_draw_squares_to_matrix(self):
+        factors, roots = zip(*(_se_root(m, d) for d, m in
+                               enumerate((3, DENSE_MAX_ORDER + 1))))
+        widths = [w for _, w in roots]
+        block = np.eye(int(np.prod(widths))).reshape(widths + [-1])
+        r = mode_products(block, [root for root, _ in roots])
+        r = r.reshape(-1, block.shape[-1])
+        np.testing.assert_allclose(r @ r.T, KronOperator(factors).dense(),
+                                   rtol=1e-8, atol=1e-10)
+
+    def test_ac3_factor_needs_doubled_embedding(self):
+        t = np.linspace(0.0, 12.0, 1500)
+        comp = build_operator(_two_source_model(12.0), t).components[0]
+        (kernel, _), = comp.axis_kernels
+        axis, = comp.grid.axes
+        factor, = comp.kuu.factors
+        assert factor.shape[0] == 337
+        root, width = toeplitz_root(kernel.eval, axis, 0)
+        assert width == 2 * 2 * 336
+        r = root(np.eye(width))
+        np.testing.assert_allclose(r @ r.T, factor.dense(),
+                                   rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("m", [2, 300], ids=["dense", "embedding"])
+    def test_rejects_indefinite_factor(self, m):
+        # toeplitz([1, 2, 0, ...]) has eigenvalues 1 + 4 cos(theta) < 0
+        def kernel(lags):
+            return np.where(lags == 1.0, 2.0, (lags == 0.0) * 1.0)
         with pytest.raises(NotPositiveDefiniteError,
-                           match=r"factor 1 \(order 2\)"):
-            op.sqrt()
+                           match=rf"factor 1 \(order {m}\)"):
+            toeplitz_root(kernel, np.arange(float(m)), 1)
