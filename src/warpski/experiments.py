@@ -84,6 +84,8 @@ class ExperimentConfig:
             if not (isinstance(value, numbers.Integral if kind == "integer"
                                else numbers.Real) and value > 0):
                 raise ConfigError(f"{name}: must be a positive {kind}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError("seed: must be an integer >= 0")
         if not (isinstance(self.period_jitter, numbers.Real)
                 and 0 <= self.period_jitter < np.inf):
             raise ConfigError("period_jitter: must be finite and >= 0")

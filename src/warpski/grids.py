@@ -8,6 +8,8 @@ exactly 4 nonzeros per row and dimension (4^D combined). Rows sum to one.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse
 
@@ -157,6 +159,11 @@ class InterpWeights:
     def __init__(self, matrix):
         self.matrix = matrix.tocsr()
 
+    @functools.cached_property
+    def matrix_t(self):
+        """CSR copy of ``matrix.T``, built on the first ``rmatvec``."""
+        return self.matrix.T.tocsr()
+
     @property
     def shape(self):
         return self.matrix.shape
@@ -165,7 +172,7 @@ class InterpWeights:
         return self.matrix @ as_operand(v, self.shape[1])
 
     def rmatvec(self, v):
-        return self.matrix.T @ as_operand(v, self.shape[0])
+        return self.matrix_t @ as_operand(v, self.shape[0])
 
     def dense(self):
         return self.matrix.toarray()

@@ -85,10 +85,11 @@ class ProbeSet:
 
 @dataclass
 class LanczosFactor:
-    """Lanczos tridiagonal and its ``(n, steps)`` basis.
+    """Lanczos tridiagonal and, on the reorthogonalized path, its basis.
 
-    :func:`lanczos` always stores the basis; it is ``None`` only in a
-    factor that a caller builds from the tridiagonal alone.
+    ``basis`` is the ``(n, steps)`` orthonormal basis that
+    :func:`lanczos` keeps with ``keep_basis=True``, and ``None`` on its
+    basis-free path or in a factor built from the tridiagonal alone.
     """
     alphas: np.ndarray
     betas: np.ndarray
@@ -102,9 +103,15 @@ class LanczosFactor:
         return scipy.linalg.eigh_tridiagonal(self.alphas, self.betas)
 
 
-def lanczos(apply, start_vector, k):
-    """Lanczos tridiagonalization with full reorthogonalization.
+def lanczos(apply, start_vector, k, keep_basis=True):
+    """Lanczos tridiagonalization of ``apply`` from ``start_vector``.
 
+    With ``keep_basis`` the basis is stored row-major and each new vector
+    is reorthogonalized against it in two passes; the factor carries it as
+    ``(n, steps)``. Without, only the three-term recurrence runs and no
+    basis is kept: T then loses the orthogonality of exact arithmetic
+    (repeated Ritz values), but its Gauss quadrature e_1^T f(T) e_1 stays
+    accurate in finite precision (Meurant & Strakos, Acta Numerica 2006).
     Stops early on breakdown (beta <= 1e-12 |alpha_0|), which signals an
     invariant subspace and truncates the factor benignly.
     """
@@ -112,50 +119,43 @@ def lanczos(apply, start_vector, k):
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ValueError("start vector must be nonzero")
-    n = v.size
-    k = min(int(k), n)
-    basis = np.zeros((n, k))
-    alphas = np.zeros(k)
-    betas = np.zeros(max(k - 1, 0))
-    basis[:, 0] = v / norm
-    steps = 0
+    k = min(int(k), v.size)
+    basis = np.zeros((k, v.size)) if keep_basis else None
+    alphas, betas = [], []
+    q = v / norm
     for j in range(k):
-        w = apply(basis[:, j])
-        alphas[j] = basis[:, j] @ w
-        w = w - alphas[j] * basis[:, j]
-        if j > 0:
-            w = w - betas[j - 1] * basis[:, j - 1]
-        # full reorthogonalization, two passes
-        active = basis[:, :j + 1]
-        w = w - active @ (active.T @ w)
-        w = w - active @ (active.T @ w)
-        steps = j + 1
-        if j == k - 1:
-            break
+        w = apply(q)
+        alphas.append(q @ w)
+        w = w - alphas[j] * q
+        if betas:
+            w -= betas[-1] * q_prev
+        if keep_basis:
+            basis[j] = q
+            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
+            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
         beta = np.linalg.norm(w)
-        if beta <= 1e-12 * max(abs(alphas[0]), 1e-300):
+        if j == k - 1 or beta <= 1e-12 * max(abs(alphas[0]), 1e-300):
             break
-        betas[j] = beta
-        basis[:, j + 1] = w / beta
-    return LanczosFactor(
-        alphas=alphas[:steps],
-        betas=betas[:max(steps - 1, 0)],
-        basis=basis[:, :steps],
-        steps=steps)
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    steps = len(alphas)
+    return LanczosFactor(np.array(alphas), np.array(betas),
+                         basis[:steps].T if keep_basis else None, steps)
 
 
-def slq_probes(apply, probes, k):
+def slq_probes(apply, probes, k, keep_basis=True):
     """Lanczos on one probe at a time, yielding ``(factor, vals, vecs, quad)``.
 
     ``vals, vecs`` are the Ritz pairs of the factor's tridiagonal T and
     ``quad`` = ||z||^2 e_1^T log(T) e_1 is the Gauss quadrature of
-    z^T log(K) z. Only the current basis is held. Raises
+    z^T log(K) z. ``keep_basis`` is passed to :func:`lanczos`; at most
+    the current basis is held. Raises
     ``NotPositiveDefiniteError`` on a nonpositive Ritz value and
     ``NonFiniteInputError`` on a non-finite T.
     """
     for i in range(probes.count):
         z = probes.vectors[:, i]
-        factor = lanczos(apply, z, k)
+        factor = lanczos(apply, z, k, keep_basis=keep_basis)
         vals, vecs = factor.ritz()
         if np.any(vals <= 0.0):
             raise NotPositiveDefiniteError(

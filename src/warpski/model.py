@@ -184,10 +184,12 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
 
     Deterministic given ``seed``. The data term comes from one CG solve.
     One pass of :func:`slq_probes` over ``n_probes`` Rademacher probes of
-    ``lanczos_steps`` steps holds one Lanczos basis at a time and adds
-    each probe's quadrature to the log-det and its projected trace term
-    to the gradient: the derivative of the seeded estimate itself, so it
-    is consistent with finite differences of the value. Only
+    ``lanczos_steps`` steps adds each probe's quadrature to the log-det.
+    With ``with_gradient`` it holds one reorthogonalized Lanczos basis at
+    a time and adds the probe's projected trace term to the gradient: the
+    derivative of the seeded estimate itself, so it is consistent with
+    finite differences of the value. Without, Lanczos runs the plain
+    three-term recurrence and holds no basis. Only
     ``model.free_indices()`` are differentiated; fixed entries are
     exactly 0, the gradient of the objective ``fit`` minimises. Returns
     ``(value, gradient or None, diagnostics)``. A nonpositive
@@ -206,8 +208,8 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     free = model.free_indices()
     logdet = 0.0
     trace_term = np.zeros(free.size)
-    for factor, vals, vecs, quadrature in slq_probes(op.matvec, probes,
-                                                     lanczos_steps):
+    for factor, vals, vecs, quadrature in slq_probes(
+            op.matvec, probes, lanczos_steps, keep_basis=with_gradient):
         logdet += quadrature
         if with_gradient:
             trace_term += _projected_trace_gradient(

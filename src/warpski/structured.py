@@ -92,18 +92,15 @@ def toeplitz_root(kernel, axis, index):
     """``(root, width)``: for white noise ``e`` of shape ``(width, k)``, each
     column of ``root(e)`` has covariance ``kernel(axis_i - axis_j)``.
 
-    Up to order m = ``DENSE_MAX_ORDER`` the root is the eigen square root;
-    above, circulant embedding (Wood & Chan, JCGS 1994): the first m rows of
-    ``C^{1/2} e``, C the circulant of ``kernel`` at 2s(m - 1) lags, s = 1, 2
-    or 4. Eigenvalues above ``-PSD_RTOL * max`` are clipped to 0; a lower
-    one raises ``NotPositiveDefiniteError`` naming factor ``index``.
+    Above order m = ``DENSE_MAX_ORDER`` the root is circulant embedding
+    (Wood & Chan, JCGS 1994): the first m rows of ``C^{1/2} e``, C the
+    circulant of ``kernel`` at 2s(m - 1) lags, for the first s of 1, 2, 4
+    whose spectrum is PSD. Up to that order, or when no such embedding is,
+    it is the eigen square root of the dense factor. Eigenvalues above
+    ``-PSD_RTOL * max`` are clipped to 0; a lower one in the dense factor
+    raises ``NotPositiveDefiniteError`` naming factor ``index``.
     """
     m = axis.size
-    if m <= DENSE_MAX_ORDER:
-        vals, vecs = np.linalg.eigh(
-            scipy.linalg.toeplitz(kernel(axis - axis[0])))
-        if vals.min() >= -PSD_RTOL * vals.max():
-            return (vecs * np.sqrt(np.maximum(vals, 0.0))).__matmul__, m
     for width in (2 * s * (m - 1) for s in (1, 2, 4) if m > DENSE_MAX_ORDER):
         col = kernel(np.ptp(axis) / (m - 1) * np.arange(width // 2 + 1))
         vals = scipy.fft.rfft(np.concatenate([col, col[-2:0:-1]])).real
@@ -111,6 +108,9 @@ def toeplitz_root(kernel, axis, index):
             scale = np.sqrt(np.maximum(vals, 0.0))[:, None]
             return (lambda e: scipy.fft.irfft(scale * scipy.fft.rfft(
                 e, axis=0), n=width, axis=0)[:m]), width
+    vals, vecs = np.linalg.eigh(scipy.linalg.toeplitz(kernel(axis - axis[0])))
+    if vals.min() >= -PSD_RTOL * vals.max():
+        return (vecs * np.sqrt(np.maximum(vals, 0.0))).__matmul__, m
     raise NotPositiveDefiniteError(
         f"factor {index} (order {m}) has eigenvalue {vals.min():.3e} below "
         f"-{PSD_RTOL:g} * max")

@@ -141,6 +141,8 @@ class TestExperimentConfig:
         from warpski.experiments import ExperimentConfig
         for data, match in [
                 ({"kind": "custom"}, "kind:"),
+                ({"seed": 2.5}, "seed:"),
+                ({"seed": -1}, "seed:"),
                 ({"noise": -1.0}, "noise"),
                 ({"noise": float("nan")}, "noise"),
                 ({"n": 0}, "n:"),
@@ -238,6 +240,11 @@ class TestCliSmoke:
         bad.write_text(json.dumps({field: value}))
         assert main([command, "--config", str(bad)]) == 2
         assert f"{field}:" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_2(self, capsys):
+        assert main(["numeric2d", "--n", "100", "--max-steps", "1",
+                     "--seed", "-1"]) == 2
+        assert "seed:" in capsys.readouterr().err
 
     def test_sweep_smoke(self, tmp_path, capsys):
         out = tmp_path / "sweep"

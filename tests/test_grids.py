@@ -106,6 +106,20 @@ class TestInterpolationWeights:
         v = rng.normal(size=32)
         assert u @ w.matvec(v) == pytest.approx(w.rmatvec(u) @ v, rel=1e-12)
 
+    def test_rmatvec_builds_transpose_once_on_first_use(self):
+        rng = np.random.default_rng(6)
+        g = grid_covering_box([(-1.0, 1.0), (-1.0, 1.0)], [12, 14])
+        w = interpolation_weights(g, rng.uniform(-1, 1, size=(60, 2)))
+        assert "matrix_t" not in vars(w)  # construction builds no copy
+        u = rng.normal(size=60)
+        np.testing.assert_allclose(w.rmatvec(u), w.matrix.T @ u,
+                                   rtol=1e-14, atol=1e-15)
+        cached = vars(w)["matrix_t"]
+        block = rng.normal(size=(60, 3))
+        np.testing.assert_allclose(w.rmatvec(block), w.matrix.T @ block,
+                                   rtol=1e-14, atol=1e-15)
+        assert vars(w)["matrix_t"] is cached
+
     def test_2d_tensor_product_matches_kron_of_1d(self):
         rng = np.random.default_rng(5)
         g = grid_covering_box([(-1.0, 1.0), (-1.0, 1.0)], [16, 20])

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from warpski.exceptions import NotPositiveDefiniteError
+from warpski.grids import grid_covering_box
+from warpski.kernels import Periodic, SquaredExponential
 from warpski.krylov import (ProbeSet, cg_solve, lanczos, slq_logdet,
                             slq_probes)
+from warpski.model import GpComponent, GpModel, build_operator
+from warpski.warping import Identity
 
 
 def _spd(rng, n, cond=10.0):
@@ -127,6 +131,39 @@ class TestLanczos:
     def test_rejects_zero_start_vector(self):
         with pytest.raises(ValueError):
             lanczos(lambda v: v, np.zeros(5), 3)
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_basis_free_matches_reorthogonalized_for_few_steps(self, k):
+        rng = np.random.default_rng(9)
+        n = 60
+        mat = _spd(rng, n)
+        z = rng.normal(size=n)
+        full = lanczos(lambda v: mat @ v, z, k)
+        free = lanczos(lambda v: mat @ v, z, k, keep_basis=False)
+        assert free.basis is None and free.steps == full.steps == k
+        np.testing.assert_allclose(free.alphas, full.alphas, rtol=1e-10)
+        np.testing.assert_allclose(free.betas, full.betas, rtol=1e-10)
+
+    def test_basis_free_quadrature_holds_at_many_steps(self):
+        # orthogonality is lost long before step 150 (the reorthogonalized
+        # run breaks down near step 50), yet the Gauss quadrature stays
+        # exact to rounding, far inside AC6's 2% of the curve range
+        grid = grid_covering_box([(-1.0, 1.0)], [128])
+        model = GpModel(
+            [GpComponent(SquaredExponential(1.0, 0.3), Identity(), grid),
+             GpComponent(Periodic(0.7, 0.8, 0.5), Identity(), grid)],
+            noise=0.2)
+        n = 400
+        op = build_operator(model, np.random.default_rng(0).uniform(
+            -1.0, 1.0, n))
+        vals, vecs = np.linalg.eigh(op.matvec(np.eye(n)))
+        log_k = (vecs * np.log(vals)) @ vecs.T
+        probes = ProbeSet.draw(n, 5, seed=1)
+        quads = slq_probes(op.matvec, probes, 150, keep_basis=False)
+        for z, (f, ritz, _, quad) in zip(probes.vectors.T, quads):
+            assert f.basis is None and f.steps == 150
+            assert quad == pytest.approx(z @ log_k @ z, rel=1e-9)
+            assert ritz.min() >= model.noise_variance * (1.0 - 1e-8)
 
 
 class TestSlqLogdet:

@@ -182,7 +182,8 @@ class TestApproxNlml:
         def tracking(*args, **kwargs):
             alive.append(sum(ref() is not None for ref in bases))
             factor = original(*args, **kwargs)
-            bases.append(weakref.ref(factor.basis))
+            if factor.basis is not None:
+                bases.append(weakref.ref(factor.basis))
             return factor
 
         monkeypatch.setattr(warpski.krylov, "lanczos", tracking)
@@ -191,6 +192,8 @@ class TestApproxNlml:
                     with_gradient=with_gradient)
         assert len(alive) == 8
         assert max(alive) <= 1
+        # the value path keeps no basis at all
+        assert len(bases) == (8 if with_gradient else 0)
 
     @pytest.mark.parametrize("field, count", [
         ("n_probes", 0), ("n_probes", -1), ("lanczos_steps", 0)])

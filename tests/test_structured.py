@@ -4,7 +4,7 @@ import scipy.linalg
 
 from warpski.exceptions import (DimensionMismatchError,
                                 NotPositiveDefiniteError)
-from warpski.kernels import SquaredExponential, toeplitz_column
+from warpski.kernels import Periodic, SquaredExponential, toeplitz_column
 from warpski.model import build_operator
 from warpski.structured import (DENSE_MAX_ORDER, KronOperator, SymToeplitz,
                                 mode_products, toeplitz_root)
@@ -115,6 +115,20 @@ class TestToeplitzRoot:
         r = root(np.eye(width))
         np.testing.assert_allclose(r @ r.T, factor.dense(),
                                    rtol=1e-8, atol=1e-10)
+
+    def test_periodic_factor_without_psd_embedding_takes_dense_root(self):
+        # no 1x, 2x or 4x circulant embedding of this factor is PSD; the
+        # dense factor is, to rounding (eigenvalues -9.6e-14 to 140)
+        kernel = Periodic(1.0, 1.0, 7.3)
+        axis = np.arange(300.0)
+        factor = SymToeplitz(toeplitz_column(kernel, axis)).dense()
+        root, width = toeplitz_root(kernel.eval, axis, 0)
+        assert width == 300
+        r = root(np.eye(width))
+        np.testing.assert_allclose(r @ r.T, factor, rtol=1e-8, atol=1e-10)
+        draws = root(np.random.default_rng(3).normal(size=(width, 10_000)))
+        np.testing.assert_allclose(draws @ draws.T / 10_000, factor,
+                                   atol=0.05)
 
     @pytest.mark.parametrize("m", [2, 300], ids=["dense", "embedding"])
     def test_rejects_indefinite_factor(self, m):
