@@ -1,7 +1,7 @@
 """Scalable GP regression and source separation with warped inducing grids."""
 
-from .kernels import (Hyperparameters, Periodic, Product, QuasiPeriodic,
-                      SquaredExponential, Sum, toeplitz_column)
+from .kernels import (Periodic, Product, QuasiPeriodic, SquaredExponential,
+                      toeplitz_column)
 from .warping import (ElementwiseWarp, Identity, PiecewiseLinearPhase,
                       Polynomial1D, phase_from_events)
 from .grids import (InducingGrid, InterpWeights, build_grid,

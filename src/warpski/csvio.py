@@ -17,9 +17,9 @@ from .exceptions import CsvFormatError
 def load_series_csv(path, expect_columns=None):
     """Load named numeric columns from a CSV file.
 
-    Returns a dict of 1-D float arrays keyed by header name. Malformed
-    rows and nan/inf cells raise ``CsvFormatError`` with the offending
-    line number (and column).
+    Returns a dict of 1-D float arrays keyed by header name. A repeated
+    header name raises ``CsvFormatError``, and so do malformed rows and
+    nan/inf cells, with the offending line number (and column).
     """
     if not os.path.exists(path):
         raise CsvFormatError(f"no such file: {path}")
@@ -30,6 +30,10 @@ def load_series_csv(path, expect_columns=None):
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        for i, h in enumerate(header):
+            if h in header[:i]:
+                raise CsvFormatError(f"{path}: column {h!r} appears twice "
+                                     "in the header")
         if expect_columns is not None and list(header) != list(expect_columns):
             raise CsvFormatError(
                 f"{path}: header mismatch; expected columns "

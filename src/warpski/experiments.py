@@ -27,7 +27,7 @@ from .model import (GpComponent, GpModel, approx_nlml, build_operator, fit,
 from .warping import ElementwiseWarp, Identity, Polynomial1D, phase_from_events
 
 
-# Scalar settings that must be positive; NaN fails the check as well.
+# Scalar settings that must be positive and finite; NaN fails as well.
 _POSITIVE_FIELDS = (
     "n", "noise", "cg_tol_inference", "cg_tol_separation", "n_probes",
     "lanczos_steps", "max_steps", "amplitude", "lengthscale", "start_noise",
@@ -82,8 +82,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             kind = "integer" if name in _INTEGER_FIELDS else "number"
             if not (isinstance(value, numbers.Integral if kind == "integer"
-                               else numbers.Real) and value > 0):
-                raise ConfigError(f"{name}: must be a positive {kind}")
+                               else numbers.Real) and 0 < value < np.inf):
+                raise ConfigError(f"{name}: must be a positive finite {kind}")
+        for name in ("cg_tol_inference", "cg_tol_separation"):
+            if not getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be below 1")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ConfigError("seed: must be an integer >= 0")
         if not (isinstance(self.period_jitter, numbers.Real)
@@ -93,12 +96,16 @@ class ExperimentConfig:
                    for b in self.data_box):
             raise ConfigError("data_box: need finite (lo, hi) with lo < hi")
         amps = self.amplitudes
-        if len(amps) != 2 or not all(a > 0 for a in amps):
-            raise ConfigError("amplitudes: need exactly 2, all positive")
+        if len(amps) != 2 or not all(
+                isinstance(a, numbers.Real) and 0 < a < np.inf for a in amps):
+            raise ConfigError("amplitudes: need exactly 2, all positive "
+                              "and finite")
         for name in ("grid_counts", "sample_grid_counts"):
             counts = getattr(self, name)
-            if len(counts) != 2 or min(counts) < MIN_AXIS_COUNT:
-                raise ConfigError(f"{name}: need 2 per-axis counts, "
+            if len(counts) != 2 or not all(
+                    isinstance(c, numbers.Integral) and c >= MIN_AXIS_COUNT
+                    for c in counts):
+                raise ConfigError(f"{name}: need 2 per-axis integer counts, "
                                   f"each >= {MIN_AXIS_COUNT}")
 
     @classmethod

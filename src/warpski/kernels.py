@@ -6,8 +6,9 @@ optimization is unconstrained. Gradients are taken with respect to the
 log-parameters throughout.
 
 Parameter ordering is stable per kernel kind: amplitude first, then
-lengthscales, then periods. Composite kernels concatenate their children's
-parameters in child order.
+lengthscales, then periods. A ``Product`` concatenates its children's
+parameters in child order, and ``split_params`` cuts such a flat vector
+back into its parts.
 """
 
 from __future__ import annotations
@@ -19,59 +20,51 @@ from .exceptions import DimensionMismatchError, NonEquispacedAxisError
 EQUISPACED_RTOL = 1e-9
 
 
-class Hyperparameters:
-    """Ordered positive hyperparameters, stored internally as logs."""
+def split_params(sizes, values):
+    """Cut the flat vector ``values`` into consecutive slices of ``sizes``.
 
-    def __init__(self, names, values=None, log_values=None):
-        self.names = tuple(names)
-        if log_values is None:
-            values = np.asarray(values, dtype=float)
-            if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
-                raise ValueError("hyperparameters must be strictly positive and finite")
-            log_values = np.log(values)
-        self._log = np.array(log_values, dtype=float, copy=True)
-        self._log.flags.writeable = False
+    This is the one definition of the flat log-parameter layout: a
+    ``Product``'s children, a model's components followed by the noise.
+    Raises ``DimensionMismatchError`` unless the sizes add up to its length.
+    """
+    values = np.asarray(values)
+    bounds = np.cumsum([0, *sizes])
+    if values.shape != (bounds[-1],):
+        raise DimensionMismatchError(
+            f"expected {bounds[-1]} parameters, got shape {values.shape}")
+    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
-    @property
-    def log(self):
-        return self._log
 
-    @property
-    def values(self):
-        return np.exp(self._log)
-
-    def __len__(self):
-        return self._log.size
-
-    def __repr__(self):
-        pairs = ", ".join(f"{n}={v:.6g}" for n, v in zip(self.names, self.values))
-        return f"Hyperparameters({pairs})"
+def _log_positive(values):
+    """Read-only ``log(values)``; raises ``ValueError`` unless all are > 0."""
+    values = np.asarray(values, dtype=float)
+    if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
+        raise ValueError("hyperparameters must be strictly positive and finite")
+    log = np.log(values)
+    log.flags.writeable = False
+    return log
 
 
 class Kernel:
-    """Base class for stationary kernels. Instances are immutable."""
+    """Base class for stationary kernels. Instances are immutable.
+
+    ``log_params`` is the read-only vector of log-hyperparameters and
+    ``param_names`` names its entries. A leaf kernel declares
+    ``param_names`` on its class and its constructor takes the positive
+    values in that order.
+    """
 
     arity = 1
-
-    @property
-    def params(self) -> Hyperparameters:
-        raise NotImplementedError
+    param_names = ()
 
     @property
     def n_params(self):
-        return len(self.params)
-
-    @property
-    def log_params(self):
-        return self.params.log
-
-    @property
-    def param_names(self):
-        return self.params.names
+        return self.log_params.size
 
     def with_log_params(self, log_params) -> "Kernel":
         """Return a copy of this kernel with new log-space hyperparameters."""
-        raise NotImplementedError
+        (values,) = split_params([self.n_params], log_params)
+        return type(self)(*np.exp(values))
 
     def eval(self, tau):
         """Evaluate k(tau). For arity-1 kernels ``tau`` is elementwise; for
@@ -97,27 +90,20 @@ class Kernel:
 class SquaredExponential(Kernel):
     """k(tau) = amplitude^2 * exp(-tau^2 / (2 lengthscale^2))."""
 
+    param_names = ("amplitude", "lengthscale")
+
     def __init__(self, amplitude, lengthscale):
-        self._params = Hyperparameters(("amplitude", "lengthscale"),
-                                       (amplitude, lengthscale))
-
-    @property
-    def params(self):
-        return self._params
-
-    def with_log_params(self, log_params):
-        a, l = np.exp(np.asarray(log_params, dtype=float))
-        return SquaredExponential(a, l)
+        self.log_params = _log_positive((amplitude, lengthscale))
 
     def eval(self, tau):
         tau = self._check_tau(tau)
-        a, l = self._params.values
+        a, l = np.exp(self.log_params)
         return a * a * np.exp(-0.5 * (tau / l) ** 2)
 
     def grad(self, tau):
         tau = self._check_tau(tau)
         k = self.eval(tau)
-        _, l = self._params.values
+        _, l = np.exp(self.log_params)
         return np.stack([2.0 * k, k * (tau / l) ** 2])
 
 
@@ -125,27 +111,20 @@ class Periodic(Kernel):
     """Exponentiated-sine periodic kernel:
     k(tau) = amplitude^2 * exp(-2 sin^2(pi tau / period) / lengthscale^2)."""
 
+    param_names = ("amplitude", "lengthscale", "period")
+
     def __init__(self, amplitude, lengthscale, period):
-        self._params = Hyperparameters(("amplitude", "lengthscale", "period"),
-                                       (amplitude, lengthscale, period))
-
-    @property
-    def params(self):
-        return self._params
-
-    def with_log_params(self, log_params):
-        a, l, p = np.exp(np.asarray(log_params, dtype=float))
-        return Periodic(a, l, p)
+        self.log_params = _log_positive((amplitude, lengthscale, period))
 
     def eval(self, tau):
         tau = self._check_tau(tau)
-        a, l, p = self._params.values
+        a, l, p = np.exp(self.log_params)
         s = np.sin(np.pi * tau / p)
         return a * a * np.exp(-2.0 * (s / l) ** 2)
 
     def grad(self, tau):
         tau = self._check_tau(tau)
-        a, l, p = self._params.values
+        a, l, p = np.exp(self.log_params)
         arg = np.pi * tau / p
         s = np.sin(arg)
         k = a * a * np.exp(-2.0 * (s / l) ** 2)
@@ -156,67 +135,20 @@ class Periodic(Kernel):
         return np.stack([d_amp, d_len, d_per])
 
 
-class _Composite(Kernel):
-    """Kernel built from ``children`` whose parameters it concatenates."""
-
-    def __init__(self, children):
-        children = list(children)
-        if not children:
-            raise ValueError(
-                f"{type(self).__name__} requires at least one child kernel")
-        self.children = children
-
-    @property
-    def params(self):
-        names, logs = [], []
-        for i, c in enumerate(self.children):
-            names.extend(f"{i}.{n}" for n in c.param_names)
-            logs.append(c.log_params)
-        return Hyperparameters(names, log_values=np.concatenate(logs))
-
-    def _split(self, log_params):
-        log_params = np.asarray(log_params, dtype=float)
-        out, pos = [], 0
-        for c in self.children:
-            out.append(log_params[pos:pos + c.n_params])
-            pos += c.n_params
-        if pos != log_params.size:
-            raise DimensionMismatchError("wrong number of parameters")
-        return out
-
-
-class Sum(_Composite):
-    """Sum of kernels of equal arity; parameters are concatenated."""
-
-    def __init__(self, children):
-        super().__init__(children)
-        arity = self.children[0].arity
-        if any(c.arity != arity for c in self.children):
-            raise DimensionMismatchError("Sum children must share arity")
-        self.arity = arity
-
-    def with_log_params(self, log_params):
-        parts = self._split(log_params)
-        return Sum([c.with_log_params(p) for c, p in zip(self.children, parts)])
-
-    def eval(self, tau):
-        return sum(c.eval(tau) for c in self.children)
-
-    def grad(self, tau):
-        return np.concatenate([c.grad(tau) for c in self.children])
-
-
-class Product(_Composite):
+class Product(Kernel):
     """Product of kernels, optionally across distinct input dimensions.
 
     ``dims[i]`` is the input dimension that child ``i`` acts on; when all
     dims are 0 (default) the product is over a shared 1-D lag. The kernel
-    arity is ``max(dims) + 1``; children must themselves be arity-1.
+    arity is ``max(dims) + 1``; children must themselves be arity-1. The
+    parameters are the children's, concatenated in child order.
     """
 
     def __init__(self, children, dims=None):
-        super().__init__(children)
-        children = self.children
+        children = list(children)
+        if not children:
+            raise ValueError(
+                f"{type(self).__name__} requires at least one child kernel")
         if any(c.arity != 1 for c in children):
             raise DimensionMismatchError("Product children must be 1-D kernels")
         if dims is None:
@@ -227,14 +159,19 @@ class Product(_Composite):
         ndim = max(dims) + 1
         if sorted(set(dims)) != list(range(ndim)):
             raise DimensionMismatchError("dims must cover 0..D-1 without gaps")
+        self.children = children
         self.dims = dims
         self.arity = ndim
+        self.param_names = tuple(f"{i}.{n}" for i, c in enumerate(children)
+                                 for n in c.param_names)
+        self.log_params = np.concatenate([c.log_params for c in children])
+        self.log_params.flags.writeable = False
 
     def _with_children(self, children):
         return Product(children, self.dims)
 
     def with_log_params(self, log_params):
-        parts = self._split(log_params)
+        parts = split_params([c.n_params for c in self.children], log_params)
         return self._with_children(
             [c.with_log_params(p) for c, p in zip(self.children, parts)])
 
@@ -265,11 +202,12 @@ class Product(_Composite):
 class QuasiPeriodic(Product):
     """SE envelope times a unit-amplitude periodic kernel on the same axis.
 
-    Parameter layout follows the Product convention: the SE child carries
-    (amplitude, env_lengthscale) and the periodic child
-    (amplitude=1, per_lengthscale, period). The periodic amplitude, at
-    parameter index 2, is redundant with the SE amplitude and is normally
-    held fixed during learning.
+    Parameter layout follows the Product convention: ``log_params`` is the
+    log of (amplitude, env_lengthscale, 1, per_lengthscale, period) and
+    ``param_names`` is ("0.amplitude", "0.lengthscale", "1.amplitude",
+    "1.lengthscale", "1.period"), the SE child's then the periodic child's.
+    The periodic amplitude, at index 2, is redundant with the SE amplitude
+    and is normally held fixed during learning.
     """
 
     def __init__(self, amplitude=None, env_lengthscale=None,

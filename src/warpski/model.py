@@ -17,7 +17,7 @@ import scipy.optimize
 from .exceptions import (ConfigError, DimensionMismatchError,
                          NonFiniteInputError, NotPositiveDefiniteError)
 from .grids import InducingGrid, interpolation_weights
-from .kernels import Kernel, dense_matrix, pairwise_lags
+from .kernels import Kernel, dense_matrix, pairwise_lags, split_params
 from .krylov import CgReport, ProbeSet, cg_solve, slq_probes
 from .operators import MixtureOperator, build_component, warp_points
 from .structured import mode_products, toeplitz_root
@@ -79,18 +79,14 @@ class GpModel:
         return names
 
     def with_theta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.size != self.n_params:
-            raise DimensionMismatchError("theta length mismatch")
-        comps = []
-        pos = 0
-        for c in self.components:
-            p = c.kernel.n_params
-            comps.append(GpComponent(
-                kernel=c.kernel.with_log_params(theta[pos:pos + p]),
-                warp=c.warp, grid=c.grid))
-            pos += p
-        return GpModel(comps, noise=float(np.exp(theta[-1])), fixed=self.fixed)
+        *kernel_logs, log_noise = split_params(
+            [c.kernel.n_params for c in self.components] + [1],
+            np.asarray(theta, dtype=float))
+        comps = [GpComponent(kernel=c.kernel.with_log_params(lp),
+                             warp=c.warp, grid=c.grid)
+                 for c, lp in zip(self.components, kernel_logs)]
+        return GpModel(comps, noise=float(np.exp(log_noise[0])),
+                       fixed=self.fixed)
 
     def free_indices(self):
         return np.flatnonzero(~self.fixed)

@@ -12,7 +12,8 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError
 from .grids import InducingGrid, interpolation_weights, warped_grid
-from .kernels import Kernel, Product, dense_matrix, toeplitz_column
+from .kernels import (Kernel, Product, dense_matrix, split_params,
+                      toeplitz_column)
 from .structured import KronOperator, SymToeplitz, as_operand
 from .warping import ElementwiseWarp, Warp
 
@@ -31,12 +32,13 @@ def decompose_separable(kernel, ndim):
     if not isinstance(kernel, Product) or kernel.arity != ndim:
         raise DimensionMismatchError(
             f"a {ndim}-D grid needs a Product kernel of matching arity")
-    offsets = np.cumsum([0] + [c.n_params for c in kernel.children])
+    owned = split_params([c.n_params for c in kernel.children],
+                         np.arange(kernel.n_params))
     out = []
     for d in range(ndim):
         members = [i for i, dim in enumerate(kernel.dims) if dim == d]
         children = [kernel.children[i] for i in members]
-        idx = [j for i in members for j in range(offsets[i], offsets[i + 1])]
+        idx = [j for i in members for j in owned[i].tolist()]
         out.append((children[0] if len(children) == 1 else Product(children),
                     idx))
     return out
@@ -55,10 +57,6 @@ class SkiComponent:
             SymToeplitz(toeplitz_column(kd, ax))
             for (kd, _), ax in zip(self.axis_kernels, grid.axes)])
         self._derivatives = {}
-
-    @property
-    def n_params(self):
-        return self.kernel.n_params
 
     def matvec(self, v):
         """(W K_UU W^T) v."""
@@ -162,6 +160,9 @@ class MixtureOperator:
             if c.weights.shape[0] != self.n:
                 raise DimensionMismatchError(
                     "component weights row count does not match n")
+        self._owners = tuple(
+            ("component", i, local) for i, c in enumerate(self.components)
+            for local in range(c.kernel.n_params)) + (("noise",),)
 
     @property
     def shape(self):
@@ -169,18 +170,13 @@ class MixtureOperator:
 
     @property
     def n_params(self):
-        return sum(c.n_params for c in self.components) + 1
+        return len(self._owners)
 
     def param_owner(self, index):
         """Map a flat parameter index to ('component', i, local) or ('noise',)."""
         if not 0 <= index < self.n_params:
             raise IndexError(f"parameter index {index} out of range")
-        pos = 0
-        for i, c in enumerate(self.components):
-            if index < pos + c.n_params:
-                return ("component", i, index - pos)
-            pos += c.n_params
-        return ("noise",)
+        return self._owners[index]
 
     def matvec(self, v):
         v = as_operand(v, self.n)

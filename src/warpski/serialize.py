@@ -13,28 +13,25 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .grids import InducingGrid
-from .kernels import Periodic, Product, QuasiPeriodic, SquaredExponential, Sum
+from .kernels import Periodic, Product, QuasiPeriodic, SquaredExponential
 from .model import GpComponent, GpModel
 from .warping import (ElementwiseWarp, Identity, PiecewiseLinearPhase,
                       Polynomial1D)
 
 
+_LEAF_KINDS = {"se": SquaredExponential, "periodic": Periodic}
+
+
 def kernel_to_dict(kernel):
-    if isinstance(kernel, SquaredExponential):
-        a, l = kernel.params.values
-        return {"kind": "se", "amplitude": a, "lengthscale": l}
-    if isinstance(kernel, Periodic):
-        a, l, p = kernel.params.values
-        return {"kind": "periodic", "amplitude": a, "lengthscale": l,
-                "period": p}
+    for kind, cls in _LEAF_KINDS.items():
+        if isinstance(kernel, cls):
+            return {"kind": kind, **dict(zip(cls.param_names,
+                                             np.exp(kernel.log_params)))}
     if isinstance(kernel, QuasiPeriodic):
         return {"kind": "quasiperiodic",
                 "children": [kernel_to_dict(c) for c in kernel.children]}
     if isinstance(kernel, Product):
         return {"kind": "product", "dims": list(kernel.dims),
-                "children": [kernel_to_dict(c) for c in kernel.children]}
-    if isinstance(kernel, Sum):
-        return {"kind": "sum",
                 "children": [kernel_to_dict(c) for c in kernel.children]}
     raise ConfigError(f"cannot serialize kernel of type {type(kernel).__name__}")
 
@@ -44,18 +41,15 @@ def kernel_from_dict(spec):
         kind = spec["kind"]
     except (TypeError, KeyError):
         raise ConfigError("kernel spec needs a 'kind' field") from None
-    if kind == "se":
-        return SquaredExponential(spec["amplitude"], spec["lengthscale"])
-    if kind == "periodic":
-        return Periodic(spec["amplitude"], spec["lengthscale"], spec["period"])
+    if kind in _LEAF_KINDS:
+        cls = _LEAF_KINDS[kind]
+        return cls(*(spec[name] for name in cls.param_names))
     if kind == "quasiperiodic":
         children = [kernel_from_dict(c) for c in spec["children"]]
         return QuasiPeriodic(_children=children)
     if kind == "product":
         children = [kernel_from_dict(c) for c in spec["children"]]
         return Product(children, dims=spec.get("dims"))
-    if kind == "sum":
-        return Sum([kernel_from_dict(c) for c in spec["children"]])
     raise ConfigError(f"unknown kernel kind {kind!r}")
 
 

@@ -65,6 +65,12 @@ class TestCsvIo:
             with pytest.raises(CsvFormatError, match=match):
                 loader(str(path))
 
+    def test_repeated_header_name_raises(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("time,value,value\n0.0,1.0,2.0\n0.5,3.0,4.0\n")
+        with pytest.raises(CsvFormatError, match="'value' appears twice"):
+            load_series_csv(str(path))
+
     def test_events_csv_with_optional_header(self, tmp_path):
         path = tmp_path / "ev.csv"
         path.write_text("time\n0.5\n1.25\n2.0\n")
@@ -179,7 +185,19 @@ class TestExperimentConfig:
                  "data_box:"),
                 ({"data_box": [[-1.0, float("nan")], [-2.5, 2.5]]},
                  "data_box:"),
-                ({"data_box": [1.0, 2.0]}, "data_box:")]:
+                ({"data_box": [1.0, 2.0]}, "data_box:"),
+                ({"noise": float("inf")}, "noise:"),
+                ({"lengthscale": float("inf")}, "lengthscale:"),
+                ({"dt": float("inf")}, "dt:"),
+                ({"n": float("inf")}, "n:"),
+                ({"cg_tol_inference": float("inf")}, "cg_tol_inference:"),
+                ({"cg_tol_inference": 1.0}, "cg_tol_inference:"),
+                ({"cg_tol_separation": 2.0}, "cg_tol_separation:"),
+                ({"amplitudes": [float("inf"), 0.4]}, "amplitudes:"),
+                ({"amplitudes": [1.0, float("nan")]}, "amplitudes:"),
+                ({"grid_counts": [8.5, 20]}, "grid_counts:"),
+                ({"sample_grid_counts": [200, 160.0]},
+                 "sample_grid_counts:")]:
             with pytest.raises(ConfigError, match=match):
                 ExperimentConfig.from_dict(data)
 
@@ -240,6 +258,11 @@ class TestCliSmoke:
         bad.write_text(json.dumps({field: value}))
         assert main([command, "--config", str(bad)]) == 2
         assert f"{field}:" in capsys.readouterr().err
+
+    def test_infinite_noise_flag_exits_2(self, capsys):
+        assert main(["numeric2d", "--n", "100", "--max-steps", "1",
+                     "--noise", "inf"]) == 2
+        assert "noise:" in capsys.readouterr().err
 
     def test_negative_seed_flag_exits_2(self, capsys):
         assert main(["numeric2d", "--n", "100", "--max-steps", "1",

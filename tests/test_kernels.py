@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from warpski.exceptions import NonEquispacedAxisError
-from warpski.kernels import (Hyperparameters, Periodic, Product,
-                             QuasiPeriodic, SquaredExponential, Sum,
-                             check_equispaced, dense_matrix, toeplitz_column)
+from warpski.exceptions import DimensionMismatchError, NonEquispacedAxisError
+from warpski.kernels import (Periodic, Product, QuasiPeriodic,
+                             SquaredExponential, check_equispaced,
+                             dense_matrix, split_params, toeplitz_column)
 
 
 class TestSquaredExponential:
@@ -96,14 +96,6 @@ class TestQuasiPeriodic:
 
 
 class TestComposite:
-    def test_sum_adds_values(self):
-        a = SquaredExponential(1.0, 0.5)
-        b = Periodic(0.7, 0.9, 1.3)
-        s = Sum([a, b])
-        tau = np.linspace(-2, 2, 21)
-        np.testing.assert_allclose(s.eval(tau), a.eval(tau) + b.eval(tau),
-                                   rtol=1e-14)
-
     def test_product_separates_across_dimensions(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(30, 2))
@@ -143,14 +135,42 @@ class TestComposite:
                                    [1.5, 0.4, 0.7, 0.9, 1.3], rtol=1e-14)
 
 
-class TestHyperparameters:
+class TestLogParams:
     def test_log_round_trip(self):
-        h = Hyperparameters(["a", "b"], np.array([1.5, 0.25]))
-        np.testing.assert_allclose(np.exp(h.log), h.values, rtol=1e-15)
+        k = SquaredExponential(1.5, 0.25)
+        np.testing.assert_allclose(np.exp(k.log_params), [1.5, 0.25],
+                                   rtol=1e-15)
+        assert k.param_names == ("amplitude", "lengthscale")
+        assert not k.log_params.flags.writeable
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
-            Hyperparameters(["a"], np.array([-1.0]))
+            SquaredExponential(-1.0, 1.0)
+
+    @pytest.mark.parametrize("kernel", [
+        SquaredExponential(1.5, 0.4),
+        Periodic(0.9, 1.1, 2.3),
+        QuasiPeriodic(1.2, 5.0, 0.6, 2.0),
+        Product([SquaredExponential(1.5, 0.4),
+                 SquaredExponential(1.0, 0.9)], dims=[0, 1])],
+        ids=["se", "periodic", "quasiperiodic", "product-2d"])
+    def test_with_log_params_wrong_length_raises(self, kernel):
+        for size in (kernel.n_params - 1, kernel.n_params + 1):
+            with pytest.raises(DimensionMismatchError):
+                kernel.with_log_params(np.zeros(size))
+
+    def test_composite_names_follow_children(self):
+        k = QuasiPeriodic(1.2, 5.0, 0.6, 2.0)
+        assert k.param_names == ("0.amplitude", "0.lengthscale",
+                                 "1.amplitude", "1.lengthscale", "1.period")
+        assert k.n_params == len(k.param_names) == k.log_params.size
+
+    def test_split_params_cuts_consecutive_slices(self):
+        a, b, c = split_params([2, 0, 3], np.arange(5))
+        assert a.tolist() == [0, 1] and b.size == 0
+        assert c.tolist() == [2, 3, 4]
+        with pytest.raises(DimensionMismatchError):
+            split_params([2, 2], np.arange(5))
 
 
 class TestToeplitzColumn:

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from warpski.exceptions import DimensionMismatchError
+from warpski.experiments import (ExperimentConfig, _synthetic_events,
+                                 numeric2d_model, separation_model)
 from warpski.grids import grid_covering_box
 from warpski.kernels import (Periodic, Product, QuasiPeriodic,
                              SquaredExponential)
 from warpski.operators import (MixtureOperator, build_component,
                                decompose_separable, warp_points)
 from warpski.structured import KronOperator, SymToeplitz
-from warpski.warping import ElementwiseWarp, Identity, Polynomial1D
+from warpski.model import build_operator
+from warpski.warping import (ElementwiseWarp, Identity, Polynomial1D,
+                             phase_from_events)
 
 
 def _warped_setup(n=300, m=512, seed=0):
@@ -138,6 +142,9 @@ class TestMixtureOperator:
         assert op.param_owner(0) == ("component", 0, 0)
         assert op.param_owner(2) == ("component", 1, 0)
         assert op.param_owner(5) == ("noise",)
+        for index in (-1, op.n_params):
+            with pytest.raises(IndexError):
+                op.param_owner(index)
 
     def test_noise_derivative_is_twice_variance(self):
         op, x = self._mixture()
@@ -157,6 +164,42 @@ class TestMixtureOperator:
             MixtureOperator([], -1.0, 10)
         with pytest.raises(ValueError):
             MixtureOperator([], float("nan"), 10)
+
+
+def _experiment_model(kind):
+    """An experiment model at desk scale and points inside its grids."""
+    rng = np.random.default_rng(7)
+    if kind == "numeric2d":
+        config = ExperimentConfig(n=100, grid_counts=(16, 16))
+        box = config.data_box
+        x = np.column_stack([rng.uniform(lo, hi, config.n) for lo, hi in box])
+        return numeric2d_model(config), x
+    config = ExperimentConfig(kind="separation1d", n=200)
+    x = np.arange(config.n) * config.dt
+    warps = [phase_from_events(_synthetic_events(rng, x[-1], period, 0.03))
+             for period in (config.maternal_period,
+                            config.maternal_period / config.period_ratio)]
+    return separation_model(config, warps, float(x[-1])), x
+
+
+@pytest.mark.parametrize("kind", ["numeric2d", "separation"])
+def test_param_layout_agrees_across_model_operator_and_axes(kind):
+    model, x = _experiment_model(kind)
+    op = build_operator(model, x)
+    assert op.n_params == model.n_params == len(model.param_names)
+    for j, name in enumerate(model.param_names):
+        owner = op.param_owner(j)
+        if owner == ("noise",):
+            assert (j, name) == (model.n_params - 1, "noise")
+            continue
+        _, i, local = owner
+        comp = op.components[i]
+        assert name == f"c{i}.{comp.kernel.param_names[local]}"
+        [(kd, idx)] = [(kd, idx) for kd, idx in comp.axis_kernels
+                       if local in idx]
+        assert all(type(k) is int for k in idx)
+        assert name.endswith(kd.param_names[idx.index(local)])
+        assert kd.log_params[idx.index(local)] == model.theta[j]
 
 
 def _entry_points():
