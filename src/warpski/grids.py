@@ -1,8 +1,9 @@
 """Inducing grids and sparse local-cubic interpolation weights.
 
-Grids are rectilinear; each axis is strictly increasing. Interpolation
-uses the Keys cubic convolution kernel (a = -0.5) on equispaced axes and
-local cubic Lagrange weights on the 4-node stencil otherwise, giving
+Every grid is the image of an equispaced lattice: on a plain grid the
+lattice is the grid itself, on a warped grid (:func:`warped_grid`) each
+axis is its axis warp's inverse of the lattice axis. Interpolation uses
+the Keys cubic convolution kernel (a = -0.5) on that lattice, giving
 exactly 4 nonzeros per row and dimension (4^D combined). Rows sum to one.
 """
 
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.sparse
 
 from .exceptions import (DimensionMismatchError, GridError,
-                         InterpolationRegionError)
+                         InterpolationRegionError, NonEquispacedAxisError)
 from .kernels import check_equispaced
 from .structured import as_operand
 from .warping import ElementwiseWarp, Warp
@@ -24,35 +25,40 @@ MARGIN_CELLS = 2
 COVER_CELLS = 3  # one cell of slack over the MARGIN_CELLS check
 
 
-def _is_equispaced(axis):
-    try:
-        check_equispaced(axis)
-        return True
-    except Exception:
-        return False
-
-
 class InducingGrid:
     """Per-dimension 1-D inducing coordinate arrays (Cartesian product).
 
-    When the grid was produced by :func:`warped_grid`, ``warped_axes``
-    holds the original equispaced coordinates in warped space and ``warp``
-    the map between the two views.
+    ``lattice`` holds one finite, equispaced axis of at least
+    ``MIN_AXIS_COUNT`` points per dimension, kept as ``warped_axes``.
+    Without ``axis_warps`` the grid's ``axes`` are the lattice. With one
+    1-D warp per dimension, ``axes[d]`` is ``axis_warps[d].inverse`` of
+    the lattice axis, which must come out strictly increasing. A failed
+    check raises ``GridError`` naming the axis.
     """
 
-    def __init__(self, axes, warped_axes=None, warp=None):
-        axes = [np.asarray(a, dtype=float) for a in axes]
-        for d, a in enumerate(axes):
+    def __init__(self, lattice, axis_warps=None):
+        lattice = tuple(np.asarray(a, dtype=float) for a in lattice)
+        for d, a in enumerate(lattice):
             if a.ndim != 1 or a.size < MIN_AXIS_COUNT:
                 raise GridError(
                     f"axis {d} needs at least {MIN_AXIS_COUNT} points, got {a.size}")
-            if np.any(np.diff(a) <= 0.0):
-                raise GridError(f"axis {d} must be strictly increasing")
-        self.axes = tuple(axes)
-        self.equispaced_flags = tuple(_is_equispaced(a) for a in axes)
-        self.warped_axes = (tuple(np.asarray(a, dtype=float) for a in warped_axes)
-                            if warped_axes is not None else None)
-        self.warp = warp
+            if not np.all(np.isfinite(a)):
+                raise GridError(f"axis {d} has a non-finite coordinate")
+            try:
+                check_equispaced(a)
+            except NonEquispacedAxisError as err:
+                raise GridError(f"axis {d}: {err}") from None
+        self.warped_axes = self.axes = lattice
+        self.axis_warps = None if axis_warps is None else tuple(axis_warps)
+        if self.axis_warps is None:
+            return
+        if len(self.axis_warps) != len(lattice):
+            raise DimensionMismatchError("axis_warps needs one warp per axis")
+        self.axes = tuple(np.asarray(w.inverse(a), dtype=float)
+                          for w, a in zip(self.axis_warps, lattice))
+        for d, a in enumerate(self.axes):
+            if not np.all(np.diff(a) > 0.0):
+                raise GridError(f"warped axis {d} is not strictly increasing")
 
     @property
     def ndim(self):
@@ -71,7 +77,8 @@ def build_grid(per_dim, data_box=None):
     """Build an equispaced inducing grid.
 
     ``per_dim`` is a list with one entry per dimension: either a mapping
-    with keys ``min``, ``max``, ``count`` or an explicit coordinate array.
+    with keys ``min``, ``max``, ``count`` or an explicit equispaced
+    coordinate array.
     If ``data_box`` (list of per-dimension ``(lo, hi)``) is given, each
     axis must extend at least ``MARGIN_CELLS`` grid cells beyond the box
     on both sides (cubic stencil support).
@@ -83,8 +90,8 @@ def build_grid(per_dim, data_box=None):
             if count < MIN_AXIS_COUNT:
                 raise GridError(
                     f"axis {d}: count {count} below required minimum {MIN_AXIS_COUNT}")
-            if not lo < hi:
-                raise GridError(f"axis {d}: min must be below max")
+            if not -np.inf < lo < hi < np.inf:
+                raise GridError(f"axis {d}: min must be below max, both finite")
             axes.append(np.linspace(lo, hi, count))
         else:
             axes.append(np.asarray(spec, dtype=float))
@@ -128,25 +135,20 @@ def warped_grid(grid, warp):
     """Map an equispaced grid in warped space to input space, Ubar -> Uhat.
 
     Axes are mapped through the per-dimension inverse warp; the original
-    warped-space coordinates are retained for stencil arithmetic.
+    warped-space lattice is retained for stencil arithmetic.
     """
     if not isinstance(warp, Warp):
         raise TypeError("warp must be a Warp")
     if grid.ndim == 1:
-        comps = [warp if warp.dim == 1 else None]
-        if comps[0] is None:
+        if warp.dim != 1:
             raise DimensionMismatchError("1-D grid needs a 1-D warp")
+        comps = [warp]
     elif isinstance(warp, ElementwiseWarp) and warp.dim == grid.ndim:
         comps = warp.warps
     else:
         raise DimensionMismatchError(
             "grid warping needs an elementwise warp matching the grid dimension")
-    new_axes = [np.asarray(c.inverse(a), dtype=float)
-                for c, a in zip(comps, grid.axes)]
-    for d, a in enumerate(new_axes):
-        if np.any(np.diff(a) <= 0.0):
-            raise GridError(f"warped axis {d} is not strictly increasing")
-    return InducingGrid(new_axes, warped_axes=grid.axes, warp=warp)
+    return InducingGrid(grid.axes, axis_warps=comps)
 
 
 class InterpWeights:
@@ -191,62 +193,26 @@ def _keys_weights(t):
     return np.stack([w_m1, w_0, w_p1, w_p2], axis=-1)
 
 
-def _lagrange_weights(nodes, x):
-    """Cubic Lagrange weights on a non-uniform 4-node stencil.
-
-    ``nodes`` has shape (n, 4), ``x`` shape (n,). Exact for polynomials
-    up to degree 3 on the stencil; reduces to 4-point weights that sum
-    to one on any node spacing.
-    """
-    n = x.shape[0]
-    w = np.empty((n, 4))
-    for i in range(4):
-        num = np.ones(n)
-        den = np.ones(n)
-        for j in range(4):
-            if j == i:
-                continue
-            num *= x - nodes[:, j]
-            den *= nodes[:, i] - nodes[:, j]
-        w[:, i] = num / den
-    return w
-
-
-def _locate_cells(axis, x):
-    """Left node index of the containing cell; boundary ties go left."""
-    cell = np.searchsorted(axis, x, side="left") - 1
-    return cell
-
-
 def _weights_1d(grid, d, x):
-    """Stencil indices (n,) and weights (n, 4) along dimension d."""
-    axis = grid.axes[d]
+    """Stencil indices (n,) and Keys weights (n, 4) along dimension d.
+
+    The cell is located on the input-space axis (boundary ties go left);
+    the in-cell offset is taken on the equispaced lattice, after the axis
+    warp on a warped grid.
+    """
+    axis, lattice = grid.axes[d], grid.warped_axes[d]
     m = axis.size
-    cell = _locate_cells(axis, x)
+    cell = np.searchsorted(axis, x, side="left") - 1
     bad = (cell < 1) | (cell > m - 3)
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise InterpolationRegionError(
             f"point index {idx} (value {x[idx]:.6g}) outside the stencil-safe "
             f"region of axis {d}")
-    if grid.warped_axes is not None:
-        # Warped-grid path: locate by input-space axis, compute offsets in
-        # warped space where the lattice is equispaced.
-        g = grid.warped_axes[d]
-        h = (g[-1] - g[0]) / (m - 1)
-        if grid.ndim == 1:
-            z = np.asarray(grid.warp.forward(x), dtype=float)
-        else:
-            z = np.asarray(grid.warp.warps[d].forward(x), dtype=float)
-        t = (z - g[cell]) / h
-        return cell, _keys_weights(t)
-    if grid.equispaced_flags[d]:
-        h = (axis[-1] - axis[0]) / (m - 1)
-        t = (x - axis[cell]) / h
-        return cell, _keys_weights(t)
-    stencil = cell[:, None] + np.arange(-1, 3)[None, :]
-    nodes = axis[stencil]
-    return cell, _lagrange_weights(nodes, x)
+    z = x if grid.axis_warps is None else np.asarray(
+        grid.axis_warps[d].forward(x), dtype=float)
+    h = (lattice[-1] - lattice[0]) / (m - 1)
+    return cell, _keys_weights((z - lattice[cell]) / h)
 
 
 def interpolation_weights(grid, points):
@@ -257,7 +223,7 @@ def interpolation_weights(grid, points):
     is linear in the number of points.
     """
     points = np.asarray(points, dtype=float)
-    if grid.ndim == 1:
+    if grid.ndim == 1 and points.shape[1:] in ((), (1,)):
         points = points.reshape(-1, 1)
     if points.ndim != 2 or points.shape[1] != grid.ndim:
         raise DimensionMismatchError(

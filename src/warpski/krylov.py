@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .exceptions import NonFiniteInputError, NotPositiveDefiniteError
+from .exceptions import (ConfigError, NonFiniteInputError,
+                         NotPositiveDefiniteError)
 
 
 @dataclass
@@ -33,8 +34,11 @@ def cg_solve(apply, y, tol=1e-8, max_iter=None):
     on a non-finite right-hand side and when the curvature p^T K p or the
     residual turns non-positive or non-finite, the report carries
     ``converged=False`` (residual ``nan`` for a non-finite ``y``); the
-    caller decides severity.
+    caller decides severity. A ``tol`` outside [0, 1) raises
+    ``ConfigError``: at 1 or above x = 0 would pass as converged.
     """
+    if not 0.0 <= tol < 1.0:
+        raise ConfigError(f"tol: must lie in [0, 1), got {tol}")
     y = np.asarray(y, dtype=float)
     n = y.size
     if max_iter is None:

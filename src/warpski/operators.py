@@ -102,11 +102,10 @@ class SkiComponent:
 
 
 def warp_points(warp, x, ndim):
-    """Apply a warp to a point set of shape (n,) or (n, D)."""
+    """Apply a warp to a point set of shape (n, D); (n,) also for D = 1."""
     x = np.asarray(x, dtype=float)
-    if ndim == 1:
-        flat = x.reshape(-1)
-        return np.asarray(warp.forward(flat), dtype=float)
+    if ndim == 1 and x.shape[1:] in ((), (1,)):
+        return np.asarray(warp.forward(x.reshape(-1)), dtype=float)
     if x.ndim != 2 or x.shape[1] != ndim:
         raise DimensionMismatchError(f"points must have shape (n, {ndim})")
     return np.asarray(warp.forward(x), dtype=float)

@@ -22,6 +22,14 @@ from .warping import (ElementwiseWarp, Identity, PiecewiseLinearPhase,
 _LEAF_KINDS = {"se": SquaredExponential, "periodic": Periodic}
 
 
+def _field(spec, name, what):
+    """``spec[name]``; a missing field raises ``ConfigError`` naming it."""
+    try:
+        return spec[name]
+    except (TypeError, KeyError):
+        raise ConfigError(f"{what} spec is missing the {name!r} field") from None
+
+
 def kernel_to_dict(kernel):
     for kind, cls in _LEAF_KINDS.items():
         if isinstance(kernel, cls):
@@ -37,18 +45,17 @@ def kernel_to_dict(kernel):
 
 
 def kernel_from_dict(spec):
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError):
-        raise ConfigError("kernel spec needs a 'kind' field") from None
+    kind = _field(spec, "kind", "kernel")
     if kind in _LEAF_KINDS:
         cls = _LEAF_KINDS[kind]
-        return cls(*(spec[name] for name in cls.param_names))
+        return cls(*(_field(spec, name, "kernel") for name in cls.param_names))
     if kind == "quasiperiodic":
-        children = [kernel_from_dict(c) for c in spec["children"]]
+        children = [kernel_from_dict(c)
+                    for c in _field(spec, "children", "kernel")]
         return QuasiPeriodic(_children=children)
     if kind == "product":
-        children = [kernel_from_dict(c) for c in spec["children"]]
+        children = [kernel_from_dict(c)
+                    for c in _field(spec, "children", "kernel")]
         return Product(children, dims=spec.get("dims"))
     raise ConfigError(f"unknown kernel kind {kind!r}")
 
@@ -84,19 +91,19 @@ def warp_to_dict(warp):
 
 
 def warp_from_dict(spec):
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError):
-        raise ConfigError("warp spec needs a 'kind' field") from None
+    kind = _field(spec, "kind", "warp")
     if kind == "identity":
         return Identity(domain=_domain_in(spec.get("domain")))
     if kind == "polynomial":
-        return Polynomial1D(spec["coeffs"], domain=_domain_in(spec["domain"]))
+        return Polynomial1D(_field(spec, "coeffs", "warp"),
+                            domain=_domain_in(_field(spec, "domain", "warp")))
     if kind == "phase":
-        return PiecewiseLinearPhase(spec["knot_times"], spec["knot_phases"],
+        return PiecewiseLinearPhase(_field(spec, "knot_times", "warp"),
+                                    _field(spec, "knot_phases", "warp"),
                                     domain=_domain_in(spec.get("domain")))
     if kind == "elementwise":
-        return ElementwiseWarp([warp_from_dict(c) for c in spec["children"]])
+        return ElementwiseWarp([warp_from_dict(c)
+                                for c in _field(spec, "children", "warp")])
     raise ConfigError(f"unknown warp kind {kind!r}")
 
 
@@ -105,11 +112,8 @@ def grid_to_dict(grid):
 
 
 def grid_from_dict(spec):
-    try:
-        axes = spec["axes"]
-    except (TypeError, KeyError):
-        raise ConfigError("grid spec needs an 'axes' field") from None
-    return InducingGrid([np.asarray(a, dtype=float) for a in axes])
+    return InducingGrid([np.asarray(a, dtype=float)
+                         for a in _field(spec, "axes", "grid")])
 
 
 def model_to_dict(model):
@@ -125,12 +129,13 @@ def model_to_dict(model):
 
 
 def model_from_dict(spec):
-    comps = [GpComponent(kernel=kernel_from_dict(c["kernel"]),
-                         warp=warp_from_dict(c["warp"]),
-                         grid=grid_from_dict(c["grid"]))
-             for c in spec["components"]]
+    comps = [GpComponent(
+        kernel=kernel_from_dict(_field(c, "kernel", "component")),
+        warp=warp_from_dict(_field(c, "warp", "component")),
+        grid=grid_from_dict(_field(c, "grid", "component")))
+        for c in _field(spec, "components", "model")]
     fixed = np.asarray(spec.get("fixed", []), dtype=bool)
-    return GpModel(comps, noise=spec["noise"],
+    return GpModel(comps, noise=_field(spec, "noise", "model"),
                    fixed=fixed if fixed.size else None)
 
 

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import scipy.linalg
 
-from .grids import (InducingGrid, build_grid, grid_covering_box,
-                    interpolation_weights, warped_grid)
+from .grids import (build_grid, grid_covering_box, interpolation_weights,
+                    warped_grid)
 from .kernels import (Periodic, Product, QuasiPeriodic, SquaredExponential,
                       dense_matrix, toeplitz_column)
 from .krylov import ProbeSet, cg_solve, lanczos, slq_logdet
@@ -171,14 +171,6 @@ def _grid_poly_exact():
     for poly in (lambda t: 0.5 * t ** 2 + t - 1, lambda t: 2 * t + 0.3):
         err = np.max(np.abs(w.matvec(poly(grid.axes[0])) - poly(pts)))
         assert err < 1e-11, f"quadratic reproduction error {err:.2e}"
-    # Lagrange stencils reproduce cubics exactly on non-uniform axes
-    axis = np.sort(rng.uniform(-1.5, 1.5, 48))
-    nugrid = InducingGrid([axis])
-    inner = rng.uniform(axis[2], axis[-3], 200)
-    wn = interpolation_weights(nugrid, inner)
-    cubic = lambda t: t ** 3 - 2 * t + 0.5
-    err = np.max(np.abs(wn.matvec(cubic(axis)) - cubic(inner)))
-    assert err < 1e-10, f"cubic reproduction error {err:.2e}"
 
 
 @check("grids.ski_matrix_close_to_dense_kernel")

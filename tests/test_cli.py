@@ -129,6 +129,22 @@ class TestConfigRoundTrip:
         np.testing.assert_allclose(back.theta, model.theta, atol=1e-14)
         np.testing.assert_array_equal(back.fixed, model.fixed)
 
+    @pytest.mark.parametrize("load, spec, field", [
+        (kernel_from_dict, {"kind": "se", "amplitude": 1.0}, "lengthscale"),
+        (kernel_from_dict, {"kind": "product"}, "children"),
+        (kernel_from_dict, {"amplitude": 1.0}, "kind"),
+        (warp_from_dict, {"kind": "polynomial", "domain": [0, 1]}, "coeffs"),
+        (warp_from_dict, {"kind": "phase", "knot_phases": [0, 1]},
+         "knot_times"),
+        (grid_from_dict, {}, "axes"),
+        (model_from_json, '{"components": []}', "noise"),
+        (model_from_json, '{"components": [{}], "noise": 0.1}', "kernel"),
+    ])
+    def test_missing_field_raises_config_error_naming_it(self, load, spec,
+                                                         field):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            load(spec)
+
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigError):
             kernel_from_dict({"kind": "matern"})

@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from warpski.exceptions import (GridError, InterpolationRegionError)
+from warpski.exceptions import (DimensionMismatchError, GridError,
+                                InterpolationRegionError)
 from warpski.grids import (InducingGrid, build_grid, grid_covering_box,
                            interpolation_weights, warped_grid)
 from warpski.kernels import SquaredExponential, dense_matrix
+from warpski.serialize import grid_from_dict
 from warpski.warping import Polynomial1D
 
 
@@ -23,11 +27,33 @@ class TestInducingGrid:
         with pytest.raises(GridError):
             InducingGrid([np.array([0.0, 1.0, 0.5, 2.0, 3, 4, 5, 6])])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 3, 7])
+    def test_rejects_non_finite_axes(self, value, where):
+        axis = np.arange(8.0)
+        axis[where] = value
+        with pytest.raises(GridError, match="axis 1 has a non-finite"):
+            InducingGrid([np.arange(10.0), axis])
+
+    def test_uneven_axis_fails_at_construction(self):
+        uneven = np.array([0.0, 1.0, 2.0, 3.5, 4.0, 5.0, 6.0, 7.0])
+        with pytest.raises(GridError, match="axis 1: .* uniform at index 3"):
+            InducingGrid([np.arange(8.0), uneven])
+        with pytest.raises(GridError, match="axis 0"):
+            build_grid([uneven])
+        with pytest.raises(GridError, match="axis 0"):
+            grid_from_dict({"axes": [uneven.tolist()]})
+
 
 class TestBuildGrid:
     def test_from_min_max_count(self):
         g = build_grid([{"min": -1.0, "max": 1.0, "count": 16}])
         np.testing.assert_allclose(g.axes[0], np.linspace(-1, 1, 16))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_bounds(self, value):
+        with pytest.raises(GridError, match="axis 0"):
+            build_grid([{"min": value, "max": 1.0, "count": 16}])
 
     def test_margin_violation_names_required_count(self):
         with pytest.raises(GridError, match="at least"):
@@ -82,16 +108,6 @@ class TestInterpolationWeights:
         f = lambda t: 0.3 * t ** 2 - t + 0.7
         np.testing.assert_allclose(w.matvec(f(g.axes[0])), f(pts),
                                    rtol=0, atol=1e-11)
-
-    def test_cubic_reproduction_on_nonuniform_grid(self):
-        rng = np.random.default_rng(3)
-        axis = np.sort(rng.uniform(-1.5, 1.5, 40))
-        g = InducingGrid([axis])
-        pts = rng.uniform(axis[2], axis[-3], 200)
-        w = interpolation_weights(g, pts)
-        f = lambda t: t ** 3 - 2 * t + 0.5
-        np.testing.assert_allclose(w.matvec(f(axis)), f(pts),
-                                   rtol=0, atol=1e-10)
 
     def test_points_outside_safe_region_raise(self):
         g = build_grid([{"min": 0.0, "max": 1.0, "count": 16}])
@@ -155,7 +171,16 @@ class TestWarpedGrid:
         uhat = warped_grid(g, poly)
         np.testing.assert_allclose(poly.forward(uhat.axes[0]), g.axes[0],
                                    rtol=0, atol=1e-9)
-        assert uhat.warped_axes is not None
+        assert uhat.warped_axes == g.axes
+        assert uhat.axis_warps == (poly,)
+
+    def test_rejects_a_warp_that_reverses_the_lattice(self):
+        g = build_grid([{"min": -1.0, "max": 1.0, "count": 16}])
+        flip = SimpleNamespace(inverse=lambda z: -z)
+        with pytest.raises(GridError, match="warped axis 0"):
+            InducingGrid(g.axes, axis_warps=[flip])
+        with pytest.raises(DimensionMismatchError, match="one warp per axis"):
+            InducingGrid(g.axes, axis_warps=[flip, flip])
 
     def test_warped_weights_match_warp_then_interpolate(self):
         rng = np.random.default_rng(7)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from warpski.exceptions import NotPositiveDefiniteError
+from warpski.exceptions import ConfigError, NotPositiveDefiniteError
 from warpski.grids import grid_covering_box
 from warpski.kernels import Periodic, SquaredExponential
 from warpski.krylov import (ProbeSet, cg_solve, lanczos, slq_logdet,
@@ -34,6 +34,11 @@ class TestCgSolve:
         rep = cg_solve(lambda v: k @ v, y, tol=1e-14, max_iter=3)
         assert not rep.converged
         assert rep.iterations == 3
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0, np.inf, np.nan])
+    def test_rejects_tolerance_outside_unit_interval(self, tol):
+        with pytest.raises(ConfigError, match="tol:"):
+            cg_solve(lambda v: 2.0 * v, np.ones(50), tol=tol)
 
     def test_zero_rhs_returns_zero(self):
         rep = cg_solve(lambda v: v, np.zeros(5), tol=1e-8)

@@ -5,8 +5,8 @@ import pytest
 
 import warpski.krylov
 import warpski.model
-from warpski.exceptions import (ConfigError, NonFiniteInputError,
-                                NotPositiveDefiniteError)
+from warpski.exceptions import (ConfigError, DimensionMismatchError,
+                                NonFiniteInputError, NotPositiveDefiniteError)
 from warpski.grids import grid_covering_box
 from warpski.kernels import Periodic, Product, SquaredExponential
 from warpski.krylov import ProbeSet, slq_probes
@@ -418,6 +418,17 @@ class TestPredictMean:
         total, per = predict_mean(m, x, sep.alpha, x)
         np.testing.assert_allclose(total, sep.means[0], rtol=1e-8, atol=1e-10)
         assert len(per) == 1
+
+    def test_column_points_match_flat_and_2d_points_raise(self):
+        m = _model_1d()
+        x, y = _data(100)
+        sep = separate(m, x, y, cg_tol=1e-10)
+        x_star = np.linspace(-0.9, 0.9, 10)
+        total, _ = predict_mean(m, x, sep.alpha, x_star)
+        column, _ = predict_mean(m, x, sep.alpha, x_star[:, None])
+        np.testing.assert_array_equal(column, total)
+        with pytest.raises(DimensionMismatchError, match=r"\(n, 1\)"):
+            predict_mean(m, x, sep.alpha, np.column_stack([x_star, x_star]))
 
 
 class TestSamplePrior:
