@@ -132,15 +132,11 @@ class RunReport:
     cg_iterations: int = 0
 
     def rows(self):
-        out = [("kind", self.kind), ("n", self.n), ("m_total", self.m_total),
-               ("cg_iterations", self.cg_iterations)]
-        for k, v in self.timings.items():
-            out.append((f"time_{k}_s", v))
-        for k, v in self.metrics.items():
-            out.append((k, v))
-        for k, v in self.learned.items():
-            out.append((f"learned_{k}", v))
-        return out
+        return [("kind", self.kind), ("n", self.n), ("m_total", self.m_total),
+                ("cg_iterations", self.cg_iterations),
+                *((f"time_{k}_s", v) for k, v in self.timings.items()),
+                *self.metrics.items(),
+                *((f"learned_{k}", v) for k, v in self.learned.items())]
 
 
 def _timeit(fn):
@@ -287,8 +283,7 @@ def separation_model(config, warps, t_end, t_start=0.0):
         comps.append(GpComponent(kernel, warp, grid))
     # free: the two amplitudes; lengthscales, periods and noise stay fixed
     fixed = np.ones(2 * 5 + 1, dtype=bool)
-    fixed[0] = False
-    fixed[5] = False
+    fixed[[0, 5]] = False
     return GpModel(comps, noise=config.noise, fixed=fixed)
 
 

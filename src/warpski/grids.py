@@ -10,6 +10,7 @@ exactly 4 nonzeros per row and dimension (4^D combined). Rows sum to one.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 import scipy.sparse
@@ -77,8 +78,8 @@ def build_grid(per_dim, data_box=None):
     """Build an equispaced inducing grid.
 
     ``per_dim`` is a list with one entry per dimension: either a mapping
-    with keys ``min``, ``max``, ``count`` or an explicit equispaced
-    coordinate array.
+    with keys ``min``, ``max`` and an integer ``count`` (``GridError``
+    otherwise), or an explicit equispaced coordinate array.
     If ``data_box`` (list of per-dimension ``(lo, hi)``) is given, each
     axis must extend at least ``MARGIN_CELLS`` grid cells beyond the box
     on both sides (cubic stencil support).
@@ -86,7 +87,12 @@ def build_grid(per_dim, data_box=None):
     axes = []
     for d, spec in enumerate(per_dim):
         if isinstance(spec, dict):
-            lo, hi, count = float(spec["min"]), float(spec["max"]), int(spec["count"])
+            missing = [f for f in ("min", "max", "count") if f not in spec]
+            if missing:
+                raise GridError(f"axis {d}: spec is missing the {missing[0]!r} field")
+            lo, hi, count = float(spec["min"]), float(spec["max"]), spec["count"]
+            if not isinstance(count, numbers.Integral):
+                raise GridError(f"axis {d}: count must be an integer, got {count!r}")
             if count < MIN_AXIS_COUNT:
                 raise GridError(
                     f"axis {d}: count {count} below required minimum {MIN_AXIS_COUNT}")

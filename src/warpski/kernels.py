@@ -61,6 +61,12 @@ class Kernel:
     def n_params(self):
         return self.log_params.size
 
+    @property
+    def amplitude_indices(self):
+        """Flat indices of the amplitudes a, each with dk / d log a = 2k."""
+        return tuple(i for i, name in enumerate(self.param_names)
+                     if name.rpartition(".")[2] == "amplitude")
+
     def with_log_params(self, log_params) -> "Kernel":
         """Return a copy of this kernel with new log-space hyperparameters."""
         (values,) = split_params([self.n_params], log_params)

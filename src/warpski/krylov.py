@@ -110,12 +110,14 @@ class LanczosFactor:
 def lanczos(apply, start_vector, k, keep_basis=True):
     """Lanczos tridiagonalization of ``apply`` from ``start_vector``.
 
-    With ``keep_basis`` the basis is stored row-major and each new vector
-    is reorthogonalized against it in two passes; the factor carries it as
-    ``(n, steps)``. Without, only the three-term recurrence runs and no
-    basis is kept: T then loses the orthogonality of exact arithmetic
-    (repeated Ritz values), but its Gauss quadrature e_1^T f(T) e_1 stays
-    accurate in finite precision (Meurant & Strakos, Acta Numerica 2006).
+    With ``keep_basis`` the basis is stored row-major, carried as ``(n,
+    steps)``, and each new vector is reorthogonalized against it in one
+    Gram-Schmidt pass, and in a second if the first left under 1/sqrt(2)
+    of its norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).
+    Without, only the three-term recurrence runs: T then loses the
+    orthogonality of exact arithmetic (repeated Ritz values), but its Gauss
+    quadrature e_1^T f(T) e_1 stays accurate in finite precision (Meurant
+    & Strakos, Acta Numerica 2006). The last step stops after its alpha.
     Stops early on breakdown (beta <= 1e-12 |alpha_0|), which signals an
     invariant subspace and truncates the factor benignly.
     """
@@ -130,15 +132,20 @@ def lanczos(apply, start_vector, k, keep_basis=True):
     for j in range(k):
         w = apply(q)
         alphas.append(q @ w)
+        if keep_basis:
+            basis[j] = q
+        if j == k - 1:
+            break
         w = w - alphas[j] * q
         if betas:
             w -= betas[-1] * q_prev
-        if keep_basis:
-            basis[j] = q
-            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
-            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
         beta = np.linalg.norm(w)
-        if j == k - 1 or beta <= 1e-12 * max(abs(alphas[0]), 1e-300):
+        for _ in range(2 if keep_basis else 0):
+            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
+            beta, before = np.linalg.norm(w), beta
+            if beta >= before / np.sqrt(2.0):
+                break
+        if beta <= 1e-12 * max(abs(alphas[0]), 1e-300):
             break
         betas.append(beta)
         q_prev, q = q, w / beta

@@ -66,17 +66,13 @@ class GpModel:
 
     @property
     def theta(self):
-        parts = [c.kernel.log_params for c in self.components]
-        parts.append(np.array([np.log(self.noise)]))
-        return np.concatenate(parts)
+        return np.concatenate([*(c.kernel.log_params for c in self.components),
+                               [np.log(self.noise)]])
 
     @property
     def param_names(self):
-        names = []
-        for i, c in enumerate(self.components):
-            names.extend(f"c{i}.{n}" for n in c.kernel.param_names)
-        names.append("noise")
-        return names
+        return [f"c{i}.{n}" for i, c in enumerate(self.components)
+                for n in c.kernel.param_names] + ["noise"]
 
     def with_theta(self, theta):
         *kernel_logs, log_noise = split_params(
@@ -147,13 +143,11 @@ def exact_nlml(model, x, y, with_gradient=True):
 
 def _log_divided_difference(vals):
     """Loewner matrix of log: (log a - log b) / (a - b), 1/a on the diagonal."""
-    a = vals[:, None]
-    b = vals[None, :]
+    a, b = vals[:, None], vals[None, :]
     diff = a - b
     close = np.abs(diff) <= 1e-12 * np.maximum(a, b)
     safe = np.where(close, 1.0, diff)
-    phi = np.where(close, 2.0 / (a + b), (np.log(a) - np.log(b)) / safe)
-    return phi
+    return np.where(close, 2.0 / (a + b), (np.log(a) - np.log(b)) / safe)
 
 
 def _projected_trace_gradient(forms, vals, vecs, znorm2):
@@ -182,14 +176,16 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     One pass of :func:`slq_probes` over ``n_probes`` Rademacher probes of
     ``lanczos_steps`` steps adds each probe's quadrature to the log-det.
     With ``with_gradient`` it holds one reorthogonalized Lanczos basis at
-    a time and adds the probe's projected trace term to the gradient: the
+    a time and adds the probe's projected trace term to the gradient, its
+    forms taken from the basis and, for an amplitude where
+    ``MixtureOperator.derivative_forms`` can, from the probe's T: the
     derivative of the seeded estimate itself, so it is consistent with
     finite differences of the value. Without, Lanczos runs the plain
-    three-term recurrence and holds no basis. Only
-    ``model.free_indices()`` are differentiated; fixed entries are
-    exactly 0, the gradient of the objective ``fit`` minimises. Returns
-    ``(value, gradient or None, diagnostics)``. A nonpositive
-    ``n_probes`` or ``lanczos_steps`` raises ``ConfigError``.
+    three-term recurrence and holds no basis. Only ``model.free_indices()``
+    are differentiated; fixed entries are exactly 0, the gradient of the
+    objective ``fit`` minimises. Returns ``(value, gradient or None,
+    diagnostics)``. A nonpositive ``n_probes`` or ``lanczos_steps`` raises
+    ``ConfigError``.
     """
     for name, count in (("n_probes", n_probes),
                         ("lanczos_steps", lanczos_steps)):
@@ -208,8 +204,10 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
             op.matvec, probes, lanczos_steps, keep_basis=with_gradient):
         logdet += quadrature
         if with_gradient:
+            t = (np.diag(factor.alphas) + np.diag(factor.betas, 1)
+                 + np.diag(factor.betas, -1))
             trace_term += _projected_trace_gradient(
-                op.derivative_forms(free, factor.basis), vals, vecs,
+                op.derivative_forms(free, factor.basis, t), vals, vecs,
                 float(op.n))
     logdet /= n_probes
     value = 0.5 * (float(y @ alpha) + logdet + n * LOG_2PI)

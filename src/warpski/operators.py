@@ -193,25 +193,40 @@ class MixtureOperator:
         _, i, local = owner
         return self.components[i].derivative_matvec(local, v)
 
-    def derivative_forms(self, indices, x):
+    def derivative_forms(self, indices, x, xkx=None):
         """X^T (dK / d log theta_j) X for each j in ``indices``; X is (n, k).
 
         A kernel parameter of component i differentiates W_i K_UU W_i^T on
         its grid: P_i = W_i^T X is formed once per owning component and the
         form is P_i^T (dK_UU P_i), with no product by W_i. The noise entry
-        gives 2 sigma^2 X^T X.
+        gives 2 sigma^2 X^T X. Given ``xkx`` = X^T K X for an orthonormal X
+        (the Lanczos T) and a free amplitude in every component, the
+        largest-grid component's amplitude form is 2 (xkx - sigma^2 I)
+        less the others' (each 2 X^T K_i X), so that component is
+        projected only for its other free parameters.
         """
-        proj, forms = {}, []
-        for owner in map(self.param_owner, indices):
-            if owner[0] == "noise":
-                forms.append(2.0 * self.noise_variance * (x.T @ x))
-                continue
-            _, i, local = owner
+        owners = [self.param_owner(j) for j in indices]
+        amps = {o[1]: o for o in owners if o[0] == "component"
+                and o[2] in self.components[o[1]].kernel.amplitude_indices}
+        from_t = max(amps.values(), default=None,
+                     key=lambda o: self.components[o[1]].kuu.shape[0])
+        if xkx is None or len(amps) < len(self.components):
+            from_t = None
+
+        proj = {}
+
+        def grid_form(i, local):
             if i not in proj:
                 proj[i] = self.components[i].weights.rmatvec(x)
             d_kuu = self.components[i].derivative_operator(local)
-            forms.append(proj[i].T @ d_kuu.matmat(proj[i]))
-        return forms
+            return proj[i].T @ d_kuu.matmat(proj[i])
+
+        forms = {o: 2.0 * self.noise_variance * (x.T @ x) if o[0] == "noise"
+                 else grid_form(*o[1:]) for o in owners if o != from_t}
+        if from_t is not None:
+            forms[from_t] = 2.0 * (xkx - self.noise_variance * np.eye(
+                len(xkx))) - sum(forms[o] for o in amps.values() if o != from_t)
+        return [forms[o] for o in owners]
 
     def dense(self):
         """Explicitly assembled approximate kernel (desk scale)."""

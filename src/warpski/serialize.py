@@ -108,12 +108,18 @@ def warp_from_dict(spec):
 
 
 def grid_to_dict(grid):
-    return {"axes": [a.tolist() for a in grid.axes]}
+    """``axes`` holds the lattice; a warped grid adds its ``axis_warps``."""
+    out = {"axes": [a.tolist() for a in grid.warped_axes]}
+    if grid.axis_warps is not None:
+        out["axis_warps"] = [warp_to_dict(w) for w in grid.axis_warps]
+    return out
 
 
 def grid_from_dict(spec):
-    return InducingGrid([np.asarray(a, dtype=float)
-                         for a in _field(spec, "axes", "grid")])
+    axes = _field(spec, "axes", "grid")
+    warps = spec.get("axis_warps")
+    return InducingGrid([np.asarray(a, dtype=float) for a in axes],
+                        None if warps is None else map(warp_from_dict, warps))
 
 
 def model_to_dict(model):

@@ -2,7 +2,7 @@
 
 Index-order convention: flattened grid indices are C-ordered, i.e. the
 LAST listed dimension varies fastest. The same convention is used for
-interpolation weight columns; see ``INDEX_ORDER``.
+interpolation weight columns.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ import scipy.fft
 import scipy.linalg
 
 from .exceptions import DimensionMismatchError, NotPositiveDefiniteError
-
-# Shared flattening convention for Kronecker factors and interpolation
-# weight columns. "C" = row-major = last dimension fastest-varying.
-INDEX_ORDER = "C"
 
 PSD_RTOL = 1e-8
 
@@ -120,8 +116,7 @@ class KronOperator:
     """Kronecker product of per-dimension ``SymToeplitz`` factors.
 
     MVMs are computed by sequential mode-d tensor contractions. The
-    flattened index order is C-order (last factor fastest), matching
-    ``INDEX_ORDER``.
+    flattened index order is C-order (last factor fastest).
     """
 
     def __init__(self, factors):

@@ -10,7 +10,8 @@ from warpski.serialize import (grid_from_dict, grid_to_dict, kernel_from_dict,
                                warp_from_dict, warp_to_dict)
 from warpski.csvio import load_events_csv, load_series_csv, save_columns_csv
 from warpski.exceptions import ConfigError, CsvFormatError
-from warpski.grids import grid_covering_box
+from warpski.grids import (build_grid, grid_covering_box,
+                           interpolation_weights, warped_grid)
 from warpski.kernels import Periodic, Product, QuasiPeriodic, SquaredExponential
 from warpski.metrics import rmse, snr_improvement
 from warpski.model import GpComponent, GpModel
@@ -115,9 +116,25 @@ class TestConfigRoundTrip:
 
     def test_grid_round_trip(self):
         g = grid_covering_box([(-1.0, 1.0), (0.0, 2.0)], [16, 20])
-        back = grid_from_dict(grid_to_dict(g))
+        spec = grid_to_dict(g)
+        assert list(spec) == ["axes"]
+        back = grid_from_dict(spec)
         for a, b in zip(back.axes, g.axes):
             np.testing.assert_array_equal(a, b)
+
+    def test_warped_grid_round_trip(self):
+        poly = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.5, 1.0))
+        g = warped_grid(build_grid([{"min": float(poly.forward(-1.4)),
+                                     "max": float(poly.forward(0.9)),
+                                     "count": 32}]), poly)
+        back = grid_from_dict(json.loads(json.dumps(grid_to_dict(g))))
+        for got, want in ((back.axes, g.axes),
+                          (back.warped_axes, g.warped_axes)):
+            np.testing.assert_array_equal(got[0], want[0])
+        x = np.linspace(-1.0, 0.8, 50)
+        diff = abs(interpolation_weights(back, x).matrix
+                   - interpolation_weights(g, x).matrix).max()
+        assert diff == 0.0
 
     def test_model_json_round_trip(self):
         grid = grid_covering_box([(-1.0, 1.0)], [32])

@@ -55,6 +55,18 @@ class TestBuildGrid:
         with pytest.raises(GridError, match="axis 0"):
             build_grid([{"min": value, "max": 1.0, "count": 16}])
 
+    @pytest.mark.parametrize("field", ["min", "max", "count"])
+    def test_missing_field_names_axis_and_field(self, field):
+        spec = {"min": -1.0, "max": 1.0, "count": 16}
+        del spec[field]
+        with pytest.raises(GridError, match=f"axis 1: .*'{field}'"):
+            build_grid([np.linspace(0.0, 1.0, 8), spec])
+
+    @pytest.mark.parametrize("count", [16.7, 16.0, "16"])
+    def test_rejects_non_integer_count(self, count):
+        with pytest.raises(GridError, match="axis 0: count must be an integer"):
+            build_grid([{"min": -1.0, "max": 1.0, "count": count}])
+
     def test_margin_violation_names_required_count(self):
         with pytest.raises(GridError, match="at least"):
             build_grid([{"min": -1.0, "max": 1.0, "count": 16}],

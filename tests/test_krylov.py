@@ -108,6 +108,19 @@ class TestLanczos:
         np.testing.assert_allclose(q.T @ q, np.eye(f.steps), atol=1e-10)
         np.testing.assert_allclose(q.T @ k @ q, t, atol=1e-8)
 
+    def test_second_pass_restores_orthogonality(self):
+        # each K q carries a huge component along q_0, which one
+        # Gram-Schmidt pass removes only to about eps * 1e8
+        rng = np.random.default_rng(10)
+        n = 60
+        k = _spd(rng, n)
+        z = rng.normal(size=n)
+        q0 = z / np.linalg.norm(z)
+        f = lanczos(lambda v: k @ v + 1e8 * q0, z, 25)
+        assert f.steps == 25
+        err = np.linalg.norm(f.basis.T @ f.basis - np.eye(f.steps), 2)
+        assert err <= 1e-12
+
     def test_full_run_recovers_all_eigenvalues(self):
         rng = np.random.default_rng(5)
         n = 30

@@ -9,7 +9,7 @@ from warpski.exceptions import (ConfigError, DimensionMismatchError,
                                 NonFiniteInputError, NotPositiveDefiniteError)
 from warpski.grids import grid_covering_box
 from warpski.kernels import Periodic, Product, SquaredExponential
-from warpski.krylov import ProbeSet, slq_probes
+from warpski.krylov import ProbeSet, lanczos, slq_probes
 from warpski.model import (GpComponent, GpModel, _log_divided_difference,
                            _projected_trace_gradient, approx_nlml,
                            build_operator, dense_mixture_matrix,
@@ -238,6 +238,48 @@ class TestProjectedTraceGradient:
             want = block.T @ op.derivative_matvec(j, block)
             np.testing.assert_allclose(form, want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("case, fixed", [
+        ("1d", []),
+        ("2d", []),  # two child amplitudes, one taken from T
+        ("two-component", []),
+        ("two-component", [0, 1, 3, 4, 5]),  # the amplitudes only
+        ("two-component", [2]),  # one amplitude free: every form on grids
+    ])
+    def test_amplitude_forms_from_t_match_grid_forms(self, case, fixed):
+        make_model, make_data = GRADIENT_CASES[case]
+        x, _ = make_data(150)
+        op = build_operator(make_model(), x)
+        free = np.setdiff1d(np.arange(op.n_params), fixed)
+        factor = lanczos(op.matvec, ProbeSet.draw(op.n, 1, 0).vectors[:, 0],
+                         20)
+        t = (np.diag(factor.alphas) + np.diag(factor.betas, 1)
+             + np.diag(factor.betas, -1))
+        got = op.derivative_forms(free, factor.basis, t)
+        want = op.derivative_forms(free, factor.basis)
+        for a, b in zip(got, want):
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+            if fixed == [2]:
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("free, projected", [
+        ([0, 2], [1]), ([0, 1, 2], [0, 1]), ([0, 3], [0, 1])])
+    def test_largest_grid_is_projected_for_other_parameters_only(
+            self, free, projected):
+        op = build_operator(_two_component(periodic_counts=100), _data(150)[0])
+        calls = []
+
+        def counting(i, rmatvec):
+            return lambda v: calls.append(i) or rmatvec(v)
+
+        for i, c in enumerate(op.components):
+            c.weights.rmatvec = counting(i, c.weights.rmatvec)
+        factor = lanczos(op.matvec, np.ones(op.n), 10)
+        t = (np.diag(factor.alphas) + np.diag(factor.betas, 1)
+             + np.diag(factor.betas, -1))
+        calls.clear()
+        op.derivative_forms(free, factor.basis, t)
+        assert calls == projected
 
     def test_each_free_derivative_built_once_per_evaluation(self,
                                                             monkeypatch):

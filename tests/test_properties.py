@@ -1,5 +1,6 @@
 """Property tests of the operator contract, the prior-draw roots, the
-interpolation weights, the warps and the separation identity.
+amplitude derivatives, the interpolation weights, the warps and the
+separation identity.
 
 Block Krylov methods apply an operator to ``(n, p)`` blocks, so a block
 product must equal the single-column products stacked side by side.
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from warpski.grids import grid_covering_box, interpolation_weights
 from warpski.exceptions import NotPositiveDefiniteError
-from warpski.kernels import (Periodic, QuasiPeriodic, SquaredExponential,
-                             toeplitz_column)
+from warpski.kernels import (Periodic, Product, QuasiPeriodic,
+                             SquaredExponential, toeplitz_column)
 from warpski.model import GpComponent, GpModel, separate
 from warpski.operators import MixtureOperator, build_component
 from warpski.structured import (DENSE_MAX_ORDER, KronOperator, SymToeplitz,
@@ -116,6 +117,31 @@ def test_circulant_root_squares_to_factor_or_names_it(kernel, m):
     l1 = 2.0 * np.abs(kernel.eval(np.arange(width // 2 + 1.0))).sum()
     factor = scipy.linalg.toeplitz(toeplitz_column(kernel, axis))
     assert np.linalg.norm(r @ r.T - factor, 2) <= 1e-8 * l1
+
+
+amplitude_kernels = st.one_of(
+    st.builds(SquaredExponential, positive, positive),
+    st.builds(Periodic, positive, positive, positive),
+    st.builds(lambda a, b: Product([a, b], dims=[0, 1]),
+              st.builds(SquaredExponential, positive, positive),
+              st.builds(Periodic, positive, positive, positive)),
+    st.builds(QuasiPeriodic, positive, positive, positive, positive))
+
+
+@FAST
+@given(kernel=amplitude_kernels,
+       lags=st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=40))
+@example(kernel=QuasiPeriodic(1.0, 0.5234375, 1.0, 1.5), lags=[0.0, 20.0])
+def test_amplitude_rows_of_the_gradient_are_twice_the_kernel(kernel, lags):
+    # the derivative forms take amplitude forms from the Lanczos T on this;
+    # a subnormal k (far lags) holds it only to the subnormal spacing
+    tau = np.column_stack([lags, lags[::-1]])[:, :kernel.arity].squeeze()
+    want = (0, 2) if isinstance(kernel, Product) else (0,)
+    assert kernel.amplitude_indices == want
+    grad, k = kernel.grad(tau), kernel.eval(tau)
+    for j in want:
+        np.testing.assert_allclose(grad[j], 2.0 * k, rtol=1e-14,
+                                   atol=np.finfo(float).tiny)
 
 
 @FAST
