@@ -79,15 +79,19 @@ def _cmd_separate(args):
     return 0
 
 
+def _comma_list(flag, text, item):
+    """``item`` of each comma-separated entry; ConfigError naming ``flag``."""
+    try:
+        return [item(entry) for entry in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag}: cannot read {text!r}") from None
+
+
 def _cmd_sweep(args):
     config = _load_config(args, "numeric2d")
-    n_values = [int(v) for v in args.n_values.split(",")] if args.n_values \
-        else [1000, 2000, 4000, 8000]
-    if args.m_counts:
-        m_axis_counts = [[int(c) for c in pair.split("x")]
-                         for pair in args.m_counts.split(",")]
-    else:
-        m_axis_counts = [[32, 32], [45, 45], [64, 64], [90, 90]]
+    n_values = _comma_list("--n-values", args.n_values, int)
+    m_axis_counts = _comma_list("--m-counts", args.m_counts, lambda pair: [
+        int(c) for c in pair.split("x")])
     rows_n, rows_m = run_sweep(config, n_values, m_axis_counts)
     print("scaling vs n:")
     for i, n in enumerate(rows_n["n"]):
@@ -129,10 +133,10 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="timing curves over n and grid size")
     _add_common(p)
-    p.add_argument("--n-values", help="comma-separated data sizes")
-    p.add_argument("--m-counts",
-                   help="comma-separated per-axis grid counts, e.g. "
-                        "'32x32,64x64'")
+    p.add_argument("--n-values", default="1000,2000,4000,8000",
+                   help="comma-separated data sizes")
+    p.add_argument("--m-counts", default="32x32,45x45,64x64,90x90",
+                   help="comma-separated per-axis grid counts")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("validate", help="run the built-in invariant checks")

@@ -14,7 +14,7 @@ import numpy as np
 from .exceptions import CsvFormatError
 
 
-def load_series_csv(path, expect_columns=None):
+def load_series_csv(path):
     """Load named numeric columns from a CSV file.
 
     Returns a dict of 1-D float arrays keyed by header name. A repeated
@@ -34,10 +34,6 @@ def load_series_csv(path, expect_columns=None):
             if h in header[:i]:
                 raise CsvFormatError(f"{path}: column {h!r} appears twice "
                                      "in the header")
-        if expect_columns is not None and list(header) != list(expect_columns):
-            raise CsvFormatError(
-                f"{path}: header mismatch; expected columns "
-                f"{list(expect_columns)}, found {header}")
         columns = {h: [] for h in header}
         for lineno, row in enumerate(reader, start=2):
             if not row:

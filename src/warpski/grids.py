@@ -22,8 +22,7 @@ from .structured import as_operand
 from .warping import ElementwiseWarp, Warp
 
 MIN_AXIS_COUNT = 8
-MARGIN_CELLS = 2
-COVER_CELLS = 3  # one cell of slack over the MARGIN_CELLS check
+COVER_CELLS = 3  # box margin in cells per side; the stencil needs more than 1
 
 
 class InducingGrid:
@@ -74,67 +73,27 @@ class InducingGrid:
         return int(np.prod(self.shape))
 
 
-def build_grid(per_dim, data_box=None):
-    """Build an equispaced inducing grid.
-
-    ``per_dim`` is a list with one entry per dimension: either a mapping
-    with keys ``min``, ``max`` and an integer ``count`` (``GridError``
-    otherwise), or an explicit equispaced coordinate array.
-    If ``data_box`` (list of per-dimension ``(lo, hi)``) is given, each
-    axis must extend at least ``MARGIN_CELLS`` grid cells beyond the box
-    on both sides (cubic stencil support).
-    """
-    axes = []
-    for d, spec in enumerate(per_dim):
-        if isinstance(spec, dict):
-            missing = [f for f in ("min", "max", "count") if f not in spec]
-            if missing:
-                raise GridError(f"axis {d}: spec is missing the {missing[0]!r} field")
-            lo, hi, count = float(spec["min"]), float(spec["max"]), spec["count"]
-            if not isinstance(count, numbers.Integral):
-                raise GridError(f"axis {d}: count must be an integer, got {count!r}")
-            if count < MIN_AXIS_COUNT:
-                raise GridError(
-                    f"axis {d}: count {count} below required minimum {MIN_AXIS_COUNT}")
-            if not -np.inf < lo < hi < np.inf:
-                raise GridError(f"axis {d}: min must be below max, both finite")
-            axes.append(np.linspace(lo, hi, count))
-        else:
-            axes.append(np.asarray(spec, dtype=float))
-    grid = InducingGrid(axes)
-    if data_box is not None:
-        if len(data_box) != grid.ndim:
-            raise DimensionMismatchError("data_box dimension mismatch")
-        for d, (blo, bhi) in enumerate(data_box):
-            a = grid.axes[d]
-            h = (a[-1] - a[0]) / (a.size - 1)
-            slack = 1e-12 * max(abs(a[0]), abs(a[-1]), 1.0)
-            need = MARGIN_CELLS * h
-            if blo - a[0] < need - slack or a[-1] - bhi < need - slack:
-                min_count = int(np.ceil((bhi - blo) / h)) + 2 * MARGIN_CELLS + 1
-                raise GridError(
-                    f"axis {d} must extend >= {MARGIN_CELLS} cells beyond the "
-                    f"data box; need at least {min_count} points at this spacing")
-    return grid
-
-
 def grid_covering_box(data_box, counts):
     """Equispaced grid whose axes cover ``data_box`` with a margin.
 
     Each axis spans the box plus ``COVER_CELLS`` extra grid cells per
-    side, using ``counts[d]`` points.
+    side, using ``counts[d]`` points: one integer per box axis
+    (``DimensionMismatchError``, or ``GridError`` naming the axis).
     """
-    specs = []
-    for (lo, hi), count in zip(data_box, counts):
-        count = int(count)
+    if len(counts) != len(data_box):
+        raise DimensionMismatchError("counts needs one entry per box axis")
+    axes = []
+    for d, ((lo, hi), count) in enumerate(zip(data_box, counts)):
+        if not isinstance(count, numbers.Integral):
+            raise GridError(f"axis {d}: count must be an integer, got {count!r}")
         inner = count - 1 - 2 * COVER_CELLS
         if inner < 1:
-            raise GridError(f"count {count} too small for margin {COVER_CELLS}")
+            raise GridError(
+                f"axis {d}: count {count} too small for margin {COVER_CELLS}")
         h = (float(hi) - float(lo)) / inner
-        specs.append({"min": lo - COVER_CELLS * h,
-                      "max": hi + COVER_CELLS * h,
-                      "count": count})
-    return build_grid(specs, data_box=data_box)
+        axes.append(np.linspace(float(lo - COVER_CELLS * h),
+                                float(hi + COVER_CELLS * h), count))
+    return InducingGrid(axes)
 
 
 def warped_grid(grid, warp):

@@ -73,18 +73,10 @@ def cg_solve(apply, y, tol=1e-8, max_iter=None):
     return CgReport(x, it, res, res <= tol)
 
 
-@dataclass
-class ProbeSet:
-    """Reproducible Rademacher probe vectors (entries in {-1, +1})."""
-    count: int
-    seed: int
-    vectors: np.ndarray
-
-    @classmethod
-    def draw(cls, n, count, seed):
-        rng = np.random.default_rng(seed)
-        vectors = rng.integers(0, 2, size=(n, count)).astype(float) * 2.0 - 1.0
-        return cls(count=count, seed=seed, vectors=vectors)
+def rademacher_probes(n, count, seed):
+    """``(n, count)`` reproducible Rademacher probes (entries in {-1, +1})."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, size=(n, count)).astype(float) * 2.0 - 1.0
 
 
 @dataclass
@@ -155,7 +147,7 @@ def lanczos(apply, start_vector, k, keep_basis=True):
 
 
 def slq_probes(apply, probes, k, keep_basis=True):
-    """Lanczos on one probe at a time, yielding ``(factor, vals, vecs, quad)``.
+    """Lanczos on each probe column, yielding ``(factor, vals, vecs, quad)``.
 
     ``vals, vecs`` are the Ritz pairs of the factor's tridiagonal T and
     ``quad`` = ||z||^2 e_1^T log(T) e_1 is the Gauss quadrature of
@@ -164,8 +156,7 @@ def slq_probes(apply, probes, k, keep_basis=True):
     ``NotPositiveDefiniteError`` on a nonpositive Ritz value and
     ``NonFiniteInputError`` on a non-finite T.
     """
-    for i in range(probes.count):
-        z = probes.vectors[:, i]
+    for z in probes.T:
         factor = lanczos(apply, z, k, keep_basis=keep_basis)
         vals, vecs = factor.ritz()
         if np.any(vals <= 0.0):
@@ -178,4 +169,4 @@ def slq_probes(apply, probes, k, keep_basis=True):
 
 def slq_logdet(apply, probes, k):
     """Stochastic Lanczos quadrature log|K|: the mean of the quadratures."""
-    return sum(q for *_, q in slq_probes(apply, probes, k)) / probes.count
+    return sum(q for *_, q in slq_probes(apply, probes, k)) / probes.shape[1]

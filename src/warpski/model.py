@@ -18,7 +18,7 @@ from .exceptions import (ConfigError, DimensionMismatchError,
                          NonFiniteInputError, NotPositiveDefiniteError)
 from .grids import InducingGrid, interpolation_weights
 from .kernels import Kernel, dense_matrix, pairwise_lags, split_params
-from .krylov import CgReport, ProbeSet, cg_solve, slq_probes
+from .krylov import CgReport, cg_solve, rademacher_probes, slq_probes
 from .operators import MixtureOperator, build_component, warp_points
 from .structured import mode_products, toeplitz_root
 from .warping import Warp
@@ -45,8 +45,9 @@ class GpModel:
 
     def __init__(self, components, noise, fixed=None):
         self.components = list(components)
-        if not noise > 0:
-            raise ValueError("noise standard deviation must be positive")
+        if not 0.0 < noise < np.inf:
+            raise ValueError(
+                "noise standard deviation must be positive and finite")
         self.noise = float(noise)
         n_params = sum(c.kernel.n_params for c in self.components) + 1
         if fixed is None:
@@ -109,6 +110,17 @@ def dense_mixture_matrix(model, x):
     return out
 
 
+def _dense_cholesky(model, x):
+    """``cho_factor`` of the dense kernel, or NotPositiveDefiniteError."""
+    try:
+        return scipy.linalg.cho_factor(dense_mixture_matrix(model, x),
+                                       lower=True)
+    except scipy.linalg.LinAlgError as err:
+        raise NotPositiveDefiniteError(
+            f"dense kernel factorization failed ({err}); consider adding "
+            "jitter to the noise variance") from err
+
+
 def exact_nlml(model, x, y, with_gradient=True):
     """Dense-oracle negative log marginal likelihood (and gradient).
 
@@ -118,13 +130,7 @@ def exact_nlml(model, x, y, with_gradient=True):
     """
     y = np.asarray(y, dtype=float)
     n = y.size
-    k = dense_mixture_matrix(model, x)
-    try:
-        cho = scipy.linalg.cho_factor(k, lower=True)
-    except scipy.linalg.LinAlgError as err:
-        raise NotPositiveDefiniteError(
-            f"dense kernel factorization failed ({err}); consider adding "
-            "jitter to the noise variance") from err
+    cho = _dense_cholesky(model, x)
     alpha = scipy.linalg.cho_solve(cho, y)
     logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
     value = 0.5 * (float(y @ alpha) + logdet + n * LOG_2PI)
@@ -194,7 +200,7 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     y = np.asarray(y, dtype=float)
     n = y.size
     op = operator if operator is not None else build_operator(model, x)
-    probes = ProbeSet.draw(n, n_probes, seed)
+    probes = rademacher_probes(n, n_probes, seed)
     rep = cg_solve(op.matvec, y, tol=cg_tol)
     alpha = rep.x
     free = model.free_indices()
@@ -391,8 +397,7 @@ def sample_prior(model, x, seed):
 def exact_separation_means(model, x, y):
     """Dense-oracle posterior component means (kernel-swap identity)."""
     y = np.asarray(y, dtype=float)
-    k = dense_mixture_matrix(model, x)
-    alpha = scipy.linalg.cho_solve(scipy.linalg.cho_factor(k, lower=True), y)
+    alpha = scipy.linalg.cho_solve(_dense_cholesky(model, x), y)
     means = [dense_matrix(c.kernel, warp_points(c.warp, x, c.grid.ndim))
              @ alpha for c in model.components]
     return means, alpha

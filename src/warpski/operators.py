@@ -11,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .grids import InducingGrid, interpolation_weights, warped_grid
+from .grids import InducingGrid, interpolation_weights
 from .kernels import (Kernel, Product, dense_matrix, split_params,
                       toeplitz_column)
 from .structured import KronOperator, SymToeplitz, as_operand
-from .warping import ElementwiseWarp, Warp
+from .warping import Warp
 
 
 def decompose_separable(kernel, ndim):
@@ -85,11 +85,6 @@ class SkiComponent:
             self._derivatives[param_index] = KronOperator(factors)
         return self._derivatives[param_index]
 
-    def derivative_matvec(self, param_index, v):
-        """(W dK_UU W^T) v for the given kernel hyperparameter."""
-        return self.weights.matvec(self.derivative_operator(
-            param_index).matvec(self.weights.rmatvec(v)))
-
     def dense_ski(self):
         """Explicit W K_UU W^T (desk scale)."""
         w = self.weights.dense()
@@ -111,14 +106,12 @@ def warp_points(warp, x, ndim):
     return np.asarray(warp.forward(x), dtype=float)
 
 
-def build_component(kernel, warp, grid, x, construction="warp-points"):
+def build_component(kernel, warp, grid, x):
     """Assemble a SkiComponent for data ``x``.
 
-    ``grid`` is equispaced in warped space. Two mathematically equivalent
-    construction paths exist: ``"warp-points"`` interpolates the warped
-    points against the equispaced grid; ``"warp-grid"`` interpolates the
-    raw points against the warped grid Uhat using warped-space stencil
-    arithmetic. Both produce identical weights.
+    ``grid`` is equispaced in warped space; the weights interpolate the
+    warped points on it. Interpolating the raw points on
+    ``warped_grid(grid, warp)`` gives the same weights.
     """
     if not isinstance(kernel, Kernel):
         raise TypeError("kernel must be a Kernel")
@@ -126,19 +119,8 @@ def build_component(kernel, warp, grid, x, construction="warp-points"):
         raise TypeError("warp must be a Warp")
     if not isinstance(grid, InducingGrid):
         raise TypeError("grid must be an InducingGrid")
-    x = np.asarray(x, dtype=float)
-    if construction == "warp-points":
-        z = warp_points(warp, x, grid.ndim)
-        weights = interpolation_weights(grid, z)
-    elif construction == "warp-grid":
-        if grid.ndim > 1 and not isinstance(warp, ElementwiseWarp):
-            raise DimensionMismatchError(
-                "the warp-grid construction needs an elementwise warp")
-        uhat = warped_grid(grid, warp)
-        weights = interpolation_weights(uhat, x)
-    else:
-        raise ValueError(f"unknown construction {construction!r}")
-    return SkiComponent(kernel, warp, grid, weights)
+    z = warp_points(warp, x, grid.ndim)
+    return SkiComponent(kernel, warp, grid, interpolation_weights(grid, z))
 
 
 class MixtureOperator:
@@ -150,8 +132,8 @@ class MixtureOperator:
     """
 
     def __init__(self, components, noise_variance, n):
-        if not noise_variance >= 0:
-            raise ValueError("noise variance must be non-negative")
+        if not 0.0 <= noise_variance < np.inf:
+            raise ValueError("noise variance must be non-negative and finite")
         self.components = list(components)
         self.noise_variance = float(noise_variance)
         self.n = int(n)
@@ -185,13 +167,16 @@ class MixtureOperator:
         return out
 
     def derivative_matvec(self, index, v):
-        """(dK / d log theta_index) v; the noise entry gives 2 sigma^2 v."""
+        """(dK / d log theta_index) v: W_i dK_UU W_i^T v for a kernel
+        parameter of component i, 2 sigma^2 v for the noise entry."""
         owner = self.param_owner(index)
         v = np.asarray(v, dtype=float)
         if owner[0] == "noise":
             return 2.0 * self.noise_variance * v
         _, i, local = owner
-        return self.components[i].derivative_matvec(local, v)
+        c = self.components[i]
+        return c.weights.matvec(
+            c.derivative_operator(local).matvec(c.weights.rmatvec(v)))
 
     def derivative_forms(self, indices, x, xkx=None):
         """X^T (dK / d log theta_j) X for each j in ``indices``; X is (n, k).

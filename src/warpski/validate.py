@@ -13,11 +13,11 @@ import time
 import numpy as np
 import scipy.linalg
 
-from .grids import (build_grid, grid_covering_box, interpolation_weights,
+from .grids import (InducingGrid, grid_covering_box, interpolation_weights,
                     warped_grid)
 from .kernels import (Periodic, Product, QuasiPeriodic, SquaredExponential,
                       dense_matrix, toeplitz_column)
-from .krylov import ProbeSet, cg_solve, lanczos, slq_logdet
+from .krylov import cg_solve, lanczos, rademacher_probes, slq_logdet
 from .model import (GpComponent, GpModel, approx_nlml, build_operator,
                     exact_nlml, separate)
 from .operators import build_component
@@ -136,8 +136,8 @@ def _warp_phase_lattice():
 @check("warping.warped_grid_inverts_to_equispaced")
 def _warp_grid_consistency():
     poly = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.5, 1.0))
-    grid = build_grid([{"min": poly.forward(-1.4), "max": poly.forward(0.9),
-                        "count": 64}])
+    grid = InducingGrid([np.linspace(float(poly.forward(-1.4)),
+                                     float(poly.forward(0.9)), 64)])
     uhat = warped_grid(grid, poly)
     back = poly.forward(uhat.axes[0])
     assert np.allclose(back, grid.axes[0], rtol=0, atol=1e-10), \
@@ -273,10 +273,10 @@ def _construction_paths():
     grid = grid_covering_box([(float(poly.forward(-1.0)),
                                float(poly.forward(1.0)))], [256])
     kernel = SquaredExponential(1.5, 0.4)
-    a = build_component(kernel, poly, grid, x, construction="warp-points")
-    b = build_component(kernel, poly, grid, x, construction="warp-grid")
-    diff = abs(a.weights.matrix - b.weights.matrix).max()
-    assert diff <= 1e-12, f"construction paths disagree by {diff:.2e}"
+    a = build_component(kernel, poly, grid, x).weights
+    b = interpolation_weights(warped_grid(grid, poly), x)
+    diff = abs(a.matrix - b.matrix).max()
+    assert diff <= 1e-12, f"warped-grid weights disagree by {diff:.2e}"
 
 
 def _two_component(period):
@@ -370,9 +370,9 @@ def _cg_monotone():
 
 @check("krylov.probe_sets_are_seed_reproducible")
 def _probe_reproducible():
-    p1 = ProbeSet.draw(64, 10, seed=42).vectors
-    p2 = ProbeSet.draw(64, 10, seed=42).vectors
-    p3 = ProbeSet.draw(64, 10, seed=43).vectors
+    p1 = rademacher_probes(64, 10, seed=42)
+    p2 = rademacher_probes(64, 10, seed=42)
+    p3 = rademacher_probes(64, 10, seed=43)
     assert np.array_equal(p1, p2), "same seed produced different probes"
     assert not np.array_equal(p1, p3), "different seeds produced equal probes"
     assert set(np.unique(p1)) == {-1.0, 1.0}, "probes are not Rademacher"
@@ -388,9 +388,7 @@ def _quadrature_exact():
     k = (q * vals) @ q.T
     k = 0.5 * (k + k.T)
     logk = (q * np.log(vals)) @ q.T
-    probes = ProbeSet.draw(n, 10, seed=0)
-    for i in range(probes.count):
-        z = probes.vectors[:, i]
+    for i, z in enumerate(rademacher_probes(n, 10, seed=0).T):
         factor = lanczos(lambda v: k @ v, z, distinct.size + 2)
         rvals, rvecs = factor.ritz()
         est = float(n * np.sum(rvecs[0, :] ** 2 * np.log(rvals)))
@@ -408,7 +406,7 @@ def _slq_seed_average():
     a = rng.normal(size=(n, n))
     k = a @ a.T / n + np.eye(n)
     exact = float(np.linalg.slogdet(k)[1])
-    ests = [slq_logdet(lambda v: k @ v, ProbeSet.draw(n, 20, seed=s), 30)
+    ests = [slq_logdet(lambda v: k @ v, rademacher_probes(n, 20, seed=s), 30)
             for s in range(50)]
     err = abs(np.mean(ests) - exact) / abs(exact)
     assert err < 5e-3, f"50-seed mean log-det off by {err:.2e}"

@@ -10,7 +10,7 @@ from warpski.serialize import (grid_from_dict, grid_to_dict, kernel_from_dict,
                                warp_from_dict, warp_to_dict)
 from warpski.csvio import load_events_csv, load_series_csv, save_columns_csv
 from warpski.exceptions import ConfigError, CsvFormatError
-from warpski.grids import (build_grid, grid_covering_box,
+from warpski.grids import (InducingGrid, grid_covering_box,
                            interpolation_weights, warped_grid)
 from warpski.kernels import Periodic, Product, QuasiPeriodic, SquaredExponential
 from warpski.metrics import rmse, snr_improvement
@@ -46,12 +46,6 @@ class TestCsvIo:
         back = load_series_csv(str(path))
         np.testing.assert_array_equal(back["a"], cols["a"])
         np.testing.assert_array_equal(back["b"], cols["b"])
-
-    def test_header_mismatch_lists_expected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        save_columns_csv(str(path), {"x": [1.0]})
-        with pytest.raises(CsvFormatError, match="time"):
-            load_series_csv(str(path), expect_columns=["time", "value"])
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -124,9 +118,8 @@ class TestConfigRoundTrip:
 
     def test_warped_grid_round_trip(self):
         poly = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.5, 1.0))
-        g = warped_grid(build_grid([{"min": float(poly.forward(-1.4)),
-                                     "max": float(poly.forward(0.9)),
-                                     "count": 32}]), poly)
+        g = warped_grid(InducingGrid([np.linspace(
+            float(poly.forward(-1.4)), float(poly.forward(0.9)), 32)]), poly)
         back = grid_from_dict(json.loads(json.dumps(grid_to_dict(g))))
         for got, want in ((back.axes, g.axes),
                           (back.warped_axes, g.warped_axes)):
@@ -302,6 +295,12 @@ class TestCliSmoke:
                      "--seed", "-1"]) == 2
         assert "seed:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--n-values", "1000,abc"),
+                                             ("--m-counts", "32xq")])
+    def test_unreadable_sweep_list_exits_2(self, capsys, flag, value):
+        assert main(["sweep", flag, value]) == 2
+        assert f"error: {flag}: cannot read" in capsys.readouterr().err
+
     def test_sweep_smoke(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         code = main(["sweep", "--n-values", "200,300",
@@ -354,6 +353,11 @@ class TestCliSmoke:
         assert main(["separate", "--data", str(data), "--max-steps", "1",
                      "--n-probes", "2"]) == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+        data.write_text("t,value\n0.0,1.0\n0.5,2.0\n")
+        assert main(["separate", "--data", str(data), "--max-steps", "1",
+                     "--n-probes", "2"]) == 2
+        assert "'time' and 'value'" in capsys.readouterr().err
 
     @staticmethod
     def _small_config(tmp_path):

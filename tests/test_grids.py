@@ -5,11 +5,12 @@ import pytest
 
 from warpski.exceptions import (DimensionMismatchError, GridError,
                                 InterpolationRegionError)
-from warpski.grids import (InducingGrid, build_grid, grid_covering_box,
+from warpski.grids import (InducingGrid, grid_covering_box,
                            interpolation_weights, warped_grid)
-from warpski.kernels import SquaredExponential, dense_matrix
+from warpski.kernels import Product, SquaredExponential, dense_matrix
+from warpski.operators import build_component
 from warpski.serialize import grid_from_dict
-from warpski.warping import Polynomial1D
+from warpski.warping import ElementwiseWarp, Identity, Polynomial1D
 
 
 class TestInducingGrid:
@@ -40,44 +41,32 @@ class TestInducingGrid:
         with pytest.raises(GridError, match="axis 1: .* uniform at index 3"):
             InducingGrid([np.arange(8.0), uneven])
         with pytest.raises(GridError, match="axis 0"):
-            build_grid([uneven])
-        with pytest.raises(GridError, match="axis 0"):
             grid_from_dict({"axes": [uneven.tolist()]})
 
 
-class TestBuildGrid:
-    def test_from_min_max_count(self):
-        g = build_grid([{"min": -1.0, "max": 1.0, "count": 16}])
-        np.testing.assert_allclose(g.axes[0], np.linspace(-1, 1, 16))
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_bounds(self, value):
-        with pytest.raises(GridError, match="axis 0"):
-            build_grid([{"min": value, "max": 1.0, "count": 16}])
-
-    @pytest.mark.parametrize("field", ["min", "max", "count"])
-    def test_missing_field_names_axis_and_field(self, field):
-        spec = {"min": -1.0, "max": 1.0, "count": 16}
-        del spec[field]
-        with pytest.raises(GridError, match=f"axis 1: .*'{field}'"):
-            build_grid([np.linspace(0.0, 1.0, 8), spec])
-
-    @pytest.mark.parametrize("count", [16.7, 16.0, "16"])
-    def test_rejects_non_integer_count(self, count):
-        with pytest.raises(GridError, match="axis 0: count must be an integer"):
-            build_grid([{"min": -1.0, "max": 1.0, "count": count}])
-
-    def test_margin_violation_names_required_count(self):
-        with pytest.raises(GridError, match="at least"):
-            build_grid([{"min": -1.0, "max": 1.0, "count": 16}],
-                       data_box=[(-1.0, 1.0)])
-
+class TestGridCoveringBox:
     def test_covering_box_leaves_margin(self):
         box = [(-1.0, 1.0)]
         g = grid_covering_box(box, [32])
         h = np.diff(g.axes[0])[0]
         assert g.axes[0][0] == pytest.approx(-1.0 - 3 * h)
         assert g.axes[0][-1] == pytest.approx(1.0 + 3 * h)
+
+    @pytest.mark.parametrize("count", [16.7, 16.0, "16"])
+    def test_rejects_non_integer_count(self, count):
+        with pytest.raises(GridError, match="axis 1: count must be an integer"):
+            grid_covering_box([(-1.0, 1.0)] * 2, [16, count])
+
+    @pytest.mark.parametrize("counts", [[16], [16, 16, 16]])
+    def test_rejects_counts_not_matching_the_box(self, counts):
+        with pytest.raises(DimensionMismatchError, match="one entry per"):
+            grid_covering_box([(-1.0, 1.0)] * 2, counts)
+
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (-1.0, np.inf),
+                                        (1.0, 1.0), (1.0, -1.0)])
+    def test_rejects_an_empty_or_non_finite_box(self, lo, hi):
+        with pytest.raises(GridError, match="axis 0"):
+            grid_covering_box([(lo, hi)], [16])
 
 
 class TestInterpolationWeights:
@@ -98,14 +87,14 @@ class TestInterpolationWeights:
         np.testing.assert_array_equal(np.diff(w.matrix.indptr), 4 ** d)
 
     def test_midpoint_weights_match_closed_form(self):
-        g = build_grid([{"min": 0.0, "max": 7.0, "count": 8}])
+        g = InducingGrid([np.linspace(0.0, 7.0, 8)])
         w = interpolation_weights(g, np.array([2.5])).dense().ravel()
         want = np.zeros(8)
         want[1:5] = [-1 / 16, 9 / 16, 9 / 16, -1 / 16]
         np.testing.assert_allclose(w, want, rtol=0, atol=1e-14)
 
     def test_exact_on_grid_nodes(self):
-        g = build_grid([{"min": 0.0, "max": 9.0, "count": 10}])
+        g = InducingGrid([np.linspace(0.0, 9.0, 10)])
         w = interpolation_weights(g, np.array([3.0, 5.0])).dense()
         want = np.zeros((2, 10))
         want[0, 3] = 1.0
@@ -122,7 +111,7 @@ class TestInterpolationWeights:
                                    rtol=0, atol=1e-11)
 
     def test_points_outside_safe_region_raise(self):
-        g = build_grid([{"min": 0.0, "max": 1.0, "count": 16}])
+        g = InducingGrid([np.linspace(0.0, 1.0, 16)])
         with pytest.raises(InterpolationRegionError):
             interpolation_weights(g, np.array([0.5, 0.99999, 1.5]))
 
@@ -175,11 +164,16 @@ class TestSkiAccuracy:
         assert err < 1e-4
 
 
+def _poly_lattice(poly, count):
+    """Equispaced lattice over the warp's image of [-1.4, 0.9]."""
+    return InducingGrid([np.linspace(float(poly.forward(-1.4)),
+                                     float(poly.forward(0.9)), count)])
+
+
 class TestWarpedGrid:
     def test_axes_map_back_to_lattice(self):
         poly = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.5, 1.0))
-        g = build_grid([{"min": float(poly.forward(-1.4)),
-                         "max": float(poly.forward(0.9)), "count": 32}])
+        g = _poly_lattice(poly, 32)
         uhat = warped_grid(g, poly)
         np.testing.assert_allclose(poly.forward(uhat.axes[0]), g.axes[0],
                                    rtol=0, atol=1e-9)
@@ -187,7 +181,7 @@ class TestWarpedGrid:
         assert uhat.axis_warps == (poly,)
 
     def test_rejects_a_warp_that_reverses_the_lattice(self):
-        g = build_grid([{"min": -1.0, "max": 1.0, "count": 16}])
+        g = InducingGrid([np.linspace(-1.0, 1.0, 16)])
         flip = SimpleNamespace(inverse=lambda z: -z)
         with pytest.raises(GridError, match="warped axis 0"):
             InducingGrid(g.axes, axis_warps=[flip])
@@ -197,11 +191,26 @@ class TestWarpedGrid:
     def test_warped_weights_match_warp_then_interpolate(self):
         rng = np.random.default_rng(7)
         poly = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.5, 1.0))
-        g = build_grid([{"min": float(poly.forward(-1.4)),
-                         "max": float(poly.forward(0.9)), "count": 64}])
+        g = _poly_lattice(poly, 64)
         uhat = warped_grid(g, poly)
         x = rng.uniform(-1.0, 0.8, 150)
         w_raw = interpolation_weights(uhat, x)
         w_warped = interpolation_weights(g, np.asarray(poly.forward(x)))
         diff = abs(w_raw.matrix - w_warped.matrix).max()
         assert diff <= 1e-12
+
+    def test_2d_warped_weights_match_warp_then_interpolate(self):
+        # the ElementwiseWarp branch of warped_grid, against the weights
+        # build_component interpolates from the warped points
+        rng = np.random.default_rng(8)
+        poly = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.5, 1.0))
+        warp = ElementwiseWarp([poly, Identity()])
+        g = InducingGrid([*_poly_lattice(poly, 48).axes,
+                          np.linspace(-1.0, 1.0, 24)])
+        x = np.column_stack([rng.uniform(-1.0, 0.8, 300),
+                             rng.uniform(-0.8, 0.8, 300)])
+        w_raw = interpolation_weights(warped_grid(g, warp), x)
+        comp = build_component(Product([SquaredExponential(1.5, 0.4),
+                                        SquaredExponential(1.0, 0.5)],
+                                       dims=[0, 1]), warp, g, x)
+        assert abs(w_raw.matrix - comp.weights.matrix).max() <= 1e-12

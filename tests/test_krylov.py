@@ -4,7 +4,7 @@ import pytest
 from warpski.exceptions import ConfigError, NotPositiveDefiniteError
 from warpski.grids import grid_covering_box
 from warpski.kernels import Periodic, SquaredExponential
-from warpski.krylov import (ProbeSet, cg_solve, lanczos, slq_logdet,
+from warpski.krylov import (cg_solve, lanczos, rademacher_probes, slq_logdet,
                             slq_probes)
 from warpski.model import GpComponent, GpModel, build_operator
 from warpski.warping import Identity
@@ -85,14 +85,14 @@ class TestCgSolve:
             prev = energy
 
 
-class TestProbeSet:
+class TestRademacherProbes:
     def test_same_seed_reproduces(self):
-        a = ProbeSet.draw(50, 8, seed=7).vectors
-        b = ProbeSet.draw(50, 8, seed=7).vectors
+        a = rademacher_probes(50, 8, seed=7)
+        b = rademacher_probes(50, 8, seed=7)
         np.testing.assert_array_equal(a, b)
 
     def test_entries_are_rademacher(self):
-        v = ProbeSet.draw(200, 4, seed=0).vectors
+        v = rademacher_probes(200, 4, seed=0)
         assert set(np.unique(v)) == {-1.0, 1.0}
 
 
@@ -176,9 +176,9 @@ class TestLanczos:
             -1.0, 1.0, n))
         vals, vecs = np.linalg.eigh(op.matvec(np.eye(n)))
         log_k = (vecs * np.log(vals)) @ vecs.T
-        probes = ProbeSet.draw(n, 5, seed=1)
+        probes = rademacher_probes(n, 5, seed=1)
         quads = slq_probes(op.matvec, probes, 150, keep_basis=False)
-        for z, (f, ritz, _, quad) in zip(probes.vectors.T, quads):
+        for z, (f, ritz, _, quad) in zip(probes.T, quads):
             assert f.basis is None and f.steps == 150
             assert quad == pytest.approx(z @ log_k @ z, rel=1e-9)
             assert ritz.min() >= model.noise_variance * (1.0 - 1e-8)
@@ -191,27 +191,27 @@ class TestSlqLogdet:
         a = rng.normal(size=(n, n))
         k = a @ a.T / n + np.eye(n)
         exact = float(np.linalg.slogdet(k)[1])
-        est = slq_logdet(lambda v: k @ v, ProbeSet.draw(n, 20, 0), 30)
+        est = slq_logdet(lambda v: k @ v, rademacher_probes(n, 20, 0), 30)
         assert abs(est - exact) / abs(exact) < 0.03
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
         n = 100
         k = _spd(rng, n)
-        a = slq_logdet(lambda v: k @ v, ProbeSet.draw(n, 10, 3), 20)
-        b = slq_logdet(lambda v: k @ v, ProbeSet.draw(n, 10, 3), 20)
+        a = slq_logdet(lambda v: k @ v, rademacher_probes(n, 10, 3), 20)
+        b = slq_logdet(lambda v: k @ v, rademacher_probes(n, 10, 3), 20)
         assert a == b
 
     def test_raises_on_indefinite_operator(self):
         k = np.diag([1.0, -2.0, 3.0, 4.0, 5.0, 6.0])
         with pytest.raises(NotPositiveDefiniteError):
-            slq_logdet(lambda v: k @ v, ProbeSet.draw(6, 4, 0), 6)
+            slq_logdet(lambda v: k @ v, rademacher_probes(6, 4, 0), 6)
 
     def test_probes_yield_per_probe_factorizations(self):
         rng = np.random.default_rng(8)
         n = 40
         k = _spd(rng, n)
-        probes = ProbeSet.draw(n, 5, 0)
+        probes = rademacher_probes(n, 5, 0)
         quadratures = []
         for f, vals, _, quadrature in slq_probes(lambda v: k @ v, probes, 15):
             assert f.basis.shape == (n, f.steps)

@@ -9,7 +9,7 @@ from warpski.exceptions import (ConfigError, DimensionMismatchError,
                                 NonFiniteInputError, NotPositiveDefiniteError)
 from warpski.grids import grid_covering_box
 from warpski.kernels import Periodic, Product, SquaredExponential
-from warpski.krylov import ProbeSet, lanczos, slq_probes
+from warpski.krylov import lanczos, rademacher_probes, slq_probes
 from warpski.model import (GpComponent, GpModel, _log_divided_difference,
                            _projected_trace_gradient, approx_nlml,
                            build_operator, dense_mixture_matrix,
@@ -99,7 +99,7 @@ class TestGpModel:
         # original untouched
         np.testing.assert_allclose(np.exp(m.theta)[-1], 0.2, rtol=1e-12)
 
-    @pytest.mark.parametrize("noise", [0.0, -0.1, np.nan])
+    @pytest.mark.parametrize("noise", [0.0, -0.1, np.nan, np.inf])
     def test_rejects_nonpositive_noise(self, noise):
         with pytest.raises(ValueError, match="noise standard deviation"):
             _model_1d(noise=noise)
@@ -135,6 +135,15 @@ class TestExactNlml:
             dn, _ = exact_nlml(m.with_theta(tm), x, y, with_gradient=False)
             fd = (up - dn) / (2 * eps)
             assert grad[p] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("oracle", [exact_nlml, exact_separation_means])
+    def test_singular_kernel_raises_not_positive_definite(self, oracle):
+        # a smooth kernel on 400 close points with almost no noise is
+        # numerically singular, so its dense Cholesky factorization fails
+        m = _model_1d(noise=1e-9, amplitude=1.0, lengthscale=0.5)
+        x = np.linspace(-1.0, 1.0, 400)
+        with pytest.raises(NotPositiveDefiniteError, match="jitter"):
+            oracle(m, x, np.sin(3 * x))
 
 
 class TestApproxNlml:
@@ -217,7 +226,7 @@ class TestProjectedTraceGradient:
         factors = []
         got = np.zeros(op.n_params)
         for factor, vals, vecs, _ in slq_probes(
-                op.matvec, ProbeSet.draw(op.n, 4, 0), 15):
+                op.matvec, rademacher_probes(op.n, 4, 0), 15):
             factors.append(factor)
             got += _projected_trace_gradient(
                 op.derivative_forms(indices, factor.basis), vals, vecs,
@@ -251,7 +260,7 @@ class TestProjectedTraceGradient:
         x, _ = make_data(150)
         op = build_operator(make_model(), x)
         free = np.setdiff1d(np.arange(op.n_params), fixed)
-        factor = lanczos(op.matvec, ProbeSet.draw(op.n, 1, 0).vectors[:, 0],
+        factor = lanczos(op.matvec, rademacher_probes(op.n, 1, 0)[:, 0],
                          20)
         t = (np.diag(factor.alphas) + np.diag(factor.betas, 1)
              + np.diag(factor.betas, -1))

@@ -81,17 +81,6 @@ class TestSkiComponent:
         err = np.linalg.norm(comp.dense_ski() - exact) / np.linalg.norm(exact)
         assert err < 1e-4
 
-    def test_construction_paths_produce_identical_weights(self):
-        x, poly, grid, kernel = _warped_setup()
-        a = build_component(kernel, poly, grid, x, construction="warp-points")
-        b = build_component(kernel, poly, grid, x, construction="warp-grid")
-        assert abs(a.weights.matrix - b.weights.matrix).max() <= 1e-12
-
-    def test_unknown_construction_raises(self):
-        x, poly, grid, kernel = _warped_setup()
-        with pytest.raises(ValueError):
-            build_component(kernel, poly, grid, x, construction="bogus")
-
     def test_derivative_matvec_matches_dense_fd(self):
         x, poly, grid, kernel = _warped_setup(n=150, m=256)
         comp = build_component(kernel, poly, grid, x)
@@ -105,7 +94,7 @@ class TestSkiComponent:
             lp[p] -= 2 * eps
             dn = build_component(kernel.with_log_params(lp), poly, grid, x)
             fd = (up.dense_ski() - dn.dense_ski()) @ v / (2 * eps)
-            got = comp.derivative_matvec(p, v)
+            got = MixtureOperator([comp], 0.0, x.size).derivative_matvec(p, v)
             np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
 
     def test_derivative_operator_built_once_per_parameter(self):
@@ -164,6 +153,8 @@ class TestMixtureOperator:
             MixtureOperator([], -1.0, 10)
         with pytest.raises(ValueError):
             MixtureOperator([], float("nan"), 10)
+        with pytest.raises(ValueError, match="finite"):
+            MixtureOperator([], float("inf"), 10)
 
 
 def _experiment_model(kind):
