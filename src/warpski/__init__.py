@@ -1,7 +1,6 @@
 """Scalable GP regression and source separation with warped inducing grids."""
 
-from .kernels import (Periodic, Product, QuasiPeriodic, SquaredExponential,
-                      toeplitz_column)
+from .kernels import Periodic, Product, QuasiPeriodic, SquaredExponential
 from .warping import (ElementwiseWarp, Identity, PiecewiseLinearPhase,
                       Polynomial1D, phase_from_events)
 from .grids import (InducingGrid, InterpWeights, grid_covering_box,

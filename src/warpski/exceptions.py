@@ -9,12 +9,8 @@ class DimensionMismatchError(WarpskiError):
     """Operand shapes or kernel arities do not agree."""
 
 
-class NonEquispacedAxisError(WarpskiError):
-    """An axis declared equispaced has non-uniform spacing."""
-
-
 class OutOfDomainError(WarpskiError):
-    """A point lies outside a warp's domain or its image."""
+    """A point lies outside a polynomial warp's domain or its image."""
 
 
 class MonotonicityError(WarpskiError):
@@ -22,7 +18,7 @@ class MonotonicityError(WarpskiError):
 
 
 class GridError(WarpskiError):
-    """Invalid inducing grid construction (count, ordering or margin)."""
+    """Invalid inducing grid construction (count, bounds or axis warps)."""
 
 
 class InterpolationRegionError(WarpskiError):

@@ -95,6 +95,12 @@ class ExperimentConfig:
         if not all(np.shape(b) == (2,) and -np.inf < b[0] < b[1] < np.inf
                    for b in self.data_box):
             raise ConfigError("data_box: need finite (lo, hi) with lo < hi")
+        coeffs = self.warp_coeffs
+        if not (isinstance(coeffs, (list, tuple)) and coeffs and all(
+                isinstance(c, numbers.Real) and -np.inf < c < np.inf
+                for c in coeffs)):
+            raise ConfigError("warp_coeffs: need a non-empty list of finite "
+                              "numbers")
         amps = self.amplitudes
         if len(amps) != 2 or not all(
                 isinstance(a, numbers.Real) and 0 < a < np.inf for a in amps):
@@ -312,18 +318,17 @@ def run_separation1d(config):
         t = np.arange(config.n) * config.dt
     t_end = float(t[-1])
 
-    if config.maternal_events_csv:
-        ev1 = load_events_csv(config.maternal_events_csv)
-    else:
-        ev1 = _synthetic_events(rng, t_end, config.maternal_period,
-                                config.period_jitter)
-    if config.fetal_events_csv:
-        ev2 = load_events_csv(config.fetal_events_csv)
-    else:
-        ev2 = _synthetic_events(rng, t_end,
-                                config.maternal_period / config.period_ratio,
-                                config.period_jitter)
-    warps = [phase_from_events(ev1), phase_from_events(ev2)]
+    warps = []
+    for name, period in (("maternal_events_csv", config.maternal_period),
+                         ("fetal_events_csv",
+                          config.maternal_period / config.period_ratio)):
+        path = getattr(config, name)
+        if not path:
+            events = _synthetic_events(rng, t_end, period, config.period_jitter)
+        elif (events := load_events_csv(path)).size < 2:
+            raise ConfigError(f"{name}: need at least 2 events, got "
+                              f"{events.size}")
+        warps.append(phase_from_events(events))
     model = separation_model(config, warps, t_end, t_start=float(t[0]))
 
     if config.data_csv:

@@ -1,8 +1,10 @@
 """Inducing grids and sparse local-cubic interpolation weights.
 
-Every grid is the image of an equispaced lattice: on a plain grid the
-lattice is the grid itself, on a warped grid (:func:`warped_grid`) each
-axis is its axis warp's inverse of the lattice axis. Interpolation uses
+Every grid is built from an equispaced lattice, ``np.linspace`` over
+each axis's bounds and count, so its spacing holds by construction: on a
+plain grid the lattice is the grid itself, on a warped grid
+(:func:`warped_grid`) each axis is its axis warp's inverse of the
+lattice axis. Interpolation uses
 the Keys cubic convolution kernel (a = -0.5) on that lattice, giving
 exactly 4 nonzeros per row and dimension (4^D combined). Rows sum to one.
 """
@@ -16,46 +18,51 @@ import numpy as np
 import scipy.sparse
 
 from .exceptions import (DimensionMismatchError, GridError,
-                         InterpolationRegionError, NonEquispacedAxisError)
-from .kernels import check_equispaced
+                         InterpolationRegionError)
 from .structured import as_operand
 from .warping import ElementwiseWarp, Warp
 
-MIN_AXIS_COUNT = 8
+MIN_AXIS_COUNT = 8  # leaves at least one cell inside the covering margin
 COVER_CELLS = 3  # box margin in cells per side; the stencil needs more than 1
 
 
-class InducingGrid:
-    """Per-dimension 1-D inducing coordinate arrays (Cartesian product).
+def _axis_count(d, count):
+    """``count`` if it is an integer >= ``MIN_AXIS_COUNT``, else GridError."""
+    if not (isinstance(count, numbers.Integral) and count >= MIN_AXIS_COUNT):
+        raise GridError(f"axis {d}: count must be an integer >= "
+                        f"{MIN_AXIS_COUNT}, got {count!r}")
+    return count
 
-    ``lattice`` holds one finite, equispaced axis of at least
-    ``MIN_AXIS_COUNT`` points per dimension, kept as ``warped_axes``.
+
+class InducingGrid:
+    """Cartesian product of per-dimension 1-D inducing coordinate arrays.
+
+    Lattice axis d is ``np.linspace(lo, hi, counts[d])`` for ``bounds[d] =
+    (lo, hi)``, kept as ``warped_axes``: finite ``lo < hi`` and an integer
+    count of at least ``MIN_AXIS_COUNT``, or ``GridError`` naming the axis.
     Without ``axis_warps`` the grid's ``axes`` are the lattice. With one
     1-D warp per dimension, ``axes[d]`` is ``axis_warps[d].inverse`` of
-    the lattice axis, which must come out strictly increasing. A failed
-    check raises ``GridError`` naming the axis.
+    the lattice axis, which must come out strictly increasing.
     """
 
-    def __init__(self, lattice, axis_warps=None):
-        lattice = tuple(np.asarray(a, dtype=float) for a in lattice)
-        for d, a in enumerate(lattice):
-            if a.ndim != 1 or a.size < MIN_AXIS_COUNT:
-                raise GridError(
-                    f"axis {d} needs at least {MIN_AXIS_COUNT} points, got {a.size}")
-            if not np.all(np.isfinite(a)):
-                raise GridError(f"axis {d} has a non-finite coordinate")
-            try:
-                check_equispaced(a)
-            except NonEquispacedAxisError as err:
-                raise GridError(f"axis {d}: {err}") from None
-        self.warped_axes = self.axes = lattice
+    def __init__(self, bounds, counts, axis_warps=None):
+        self.bounds = tuple(tuple(map(float, b)) for b in bounds)
+        if len(counts) != len(self.bounds):
+            raise DimensionMismatchError("counts needs one entry per axis")
+        for d, b in enumerate(self.bounds):
+            if len(b) != 2 or not -np.inf < b[0] < b[1] < np.inf:
+                raise GridError(f"axis {d}: bounds need finite lo < hi, "
+                                f"got {b}")
+        self.warped_axes = self.axes = tuple(
+            np.linspace(lo, hi, _axis_count(d, count))
+            for d, ((lo, hi), count) in enumerate(zip(self.bounds, counts)))
         self.axis_warps = None if axis_warps is None else tuple(axis_warps)
         if self.axis_warps is None:
             return
-        if len(self.axis_warps) != len(lattice):
+        if len(self.axis_warps) != self.ndim:
             raise DimensionMismatchError("axis_warps needs one warp per axis")
         self.axes = tuple(np.asarray(w.inverse(a), dtype=float)
-                          for w, a in zip(self.axis_warps, lattice))
+                          for w, a in zip(self.axis_warps, self.warped_axes))
         for d, a in enumerate(self.axes):
             if not np.all(np.diff(a) > 0.0):
                 raise GridError(f"warped axis {d} is not strictly increasing")
@@ -82,18 +89,12 @@ def grid_covering_box(data_box, counts):
     """
     if len(counts) != len(data_box):
         raise DimensionMismatchError("counts needs one entry per box axis")
-    axes = []
+    bounds = []
     for d, ((lo, hi), count) in enumerate(zip(data_box, counts)):
-        if not isinstance(count, numbers.Integral):
-            raise GridError(f"axis {d}: count must be an integer, got {count!r}")
-        inner = count - 1 - 2 * COVER_CELLS
-        if inner < 1:
-            raise GridError(
-                f"axis {d}: count {count} too small for margin {COVER_CELLS}")
-        h = (float(hi) - float(lo)) / inner
-        axes.append(np.linspace(float(lo - COVER_CELLS * h),
-                                float(hi + COVER_CELLS * h), count))
-    return InducingGrid(axes)
+        h = (float(hi) - float(lo)) / (_axis_count(d, count) - 1
+                                       - 2 * COVER_CELLS)
+        bounds.append((lo - COVER_CELLS * h, hi + COVER_CELLS * h))
+    return InducingGrid(bounds, counts)
 
 
 def warped_grid(grid, warp):
@@ -113,7 +114,7 @@ def warped_grid(grid, warp):
     else:
         raise DimensionMismatchError(
             "grid warping needs an elementwise warp matching the grid dimension")
-    return InducingGrid(grid.axes, axis_warps=comps)
+    return InducingGrid(grid.bounds, grid.shape, axis_warps=comps)
 
 
 class InterpWeights:

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, NonEquispacedAxisError
-
-EQUISPACED_RTOL = 1e-9
+from .exceptions import DimensionMismatchError
 
 
 def split_params(sizes, values):
@@ -229,39 +227,6 @@ class QuasiPeriodic(Product):
 
     def _with_children(self, children):
         return QuasiPeriodic(_children=children)
-
-
-def toeplitz_column(kernel_1d, axis):
-    """First column of the kernel matrix over an equispaced 1-D axis.
-
-    The implied symmetric Toeplitz matrix equals the dense kernel matrix
-    over ``axis``. Raises ``NonEquispacedAxisError`` if spacing is not
-    uniform to relative tolerance 1e-9.
-    """
-    if kernel_1d.arity != 1:
-        raise DimensionMismatchError("toeplitz_column requires a 1-D kernel")
-    axis = np.asarray(axis, dtype=float)
-    if axis.ndim != 1 or axis.size < 1:
-        raise DimensionMismatchError("axis must be a non-empty 1-D array")
-    if axis.size > 1:
-        check_equispaced(axis)
-    return kernel_1d.eval(axis - axis[0])
-
-
-def check_equispaced(axis):
-    """Validate uniform spacing, naming the first offending index."""
-    axis = np.asarray(axis, dtype=float)
-    d = np.diff(axis)
-    if np.any(d <= 0.0):
-        idx = int(np.argmax(d <= 0.0))
-        raise NonEquispacedAxisError(f"axis not strictly increasing at index {idx + 1}")
-    h = d.mean()
-    bad = np.abs(d - h) > EQUISPACED_RTOL * max(abs(h), 1e-300)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise NonEquispacedAxisError(
-            f"axis spacing deviates from uniform at index {idx + 1}")
-    return h
 
 
 def pairwise_lags(kernel, x):

@@ -63,7 +63,10 @@ class GpModel:
 
     @property
     def noise_variance(self):
-        return self.noise ** 2
+        try:
+            return self.noise ** 2
+        except OverflowError:
+            raise NonFiniteInputError("noise: its variance overflows") from None
 
     @property
     def theta(self):
@@ -76,9 +79,19 @@ class GpModel:
                 for n in c.kernel.param_names] + ["noise"]
 
     def with_theta(self, theta):
+        """The model at log-parameters ``theta``; ``NonFiniteInputError``
+        names the first parameter whose exp is not positive and finite."""
+        theta = np.asarray(theta, dtype=float)
         *kernel_logs, log_noise = split_params(
-            [c.kernel.n_params for c in self.components] + [1],
-            np.asarray(theta, dtype=float))
+            [c.kernel.n_params for c in self.components] + [1], theta)
+        with np.errstate(over="ignore"):
+            values = np.exp(theta)
+        bad = ~((values > 0.0) & (values < np.inf))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise NonFiniteInputError(
+                f"{self.param_names[i]}: exp({theta[i]}) is not positive "
+                "and finite")
         comps = [GpComponent(kernel=c.kernel.with_log_params(lp),
                              warp=c.warp, grid=c.grid)
                  for c, lp in zip(self.components, kernel_logs)]
@@ -279,10 +292,9 @@ def fit(model, x, y, max_steps=100, seed=0, n_probes=20, cg_tol=1e-2,
     def objective_fn(free_theta):
         theta = theta0.copy()
         theta[free] = free_theta
-        m = model.with_theta(theta)
         try:
             value, grad, diag = approx_nlml(
-                m, x, y, n_probes=n_probes, seed=seed,
+                model.with_theta(theta), x, y, n_probes=n_probes, seed=seed,
                 cg_tol=cg_tol, lanczos_steps=lanczos_steps)
             state["cg_unconverged"] += not diag["cg_converged"]
         except (NotPositiveDefiniteError, NonFiniteInputError):

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, GridError
 from .grids import InducingGrid, interpolation_weights
-from .kernels import (Kernel, Product, dense_matrix, split_params,
-                      toeplitz_column)
+from .kernels import Kernel, Product, dense_matrix, split_params
 from .structured import KronOperator, SymToeplitz, as_operand
 from .warping import Warp
 
@@ -54,7 +53,7 @@ class SkiComponent:
         self.weights = weights
         self.axis_kernels = decompose_separable(kernel, grid.ndim)
         self.kuu = KronOperator([
-            SymToeplitz(toeplitz_column(kd, ax))
+            SymToeplitz(kd.eval(ax - ax[0]))
             for (kd, _), ax in zip(self.axis_kernels, grid.axes)])
         self._derivatives = {}
 
@@ -109,9 +108,10 @@ def warp_points(warp, x, ndim):
 def build_component(kernel, warp, grid, x):
     """Assemble a SkiComponent for data ``x``.
 
-    ``grid`` is equispaced in warped space; the weights interpolate the
-    warped points on it. Interpolating the raw points on
-    ``warped_grid(grid, warp)`` gives the same weights.
+    ``grid`` is a plain lattice in warped space (a grid with axis warps
+    raises ``GridError``); the weights interpolate the warped points on
+    it. Interpolating the raw points on ``warped_grid(grid, warp)`` gives
+    the same weights.
     """
     if not isinstance(kernel, Kernel):
         raise TypeError("kernel must be a Kernel")
@@ -119,6 +119,9 @@ def build_component(kernel, warp, grid, x):
         raise TypeError("warp must be a Warp")
     if not isinstance(grid, InducingGrid):
         raise TypeError("grid must be an InducingGrid")
+    if grid.axis_warps is not None:
+        raise GridError("a component's grid is the lattice in warped space, "
+                        "not a warped grid")
     z = warp_points(warp, x, grid.ndim)
     return SkiComponent(kernel, warp, grid, interpolation_weights(grid, z))
 

@@ -1,8 +1,9 @@
 """Serialization of kernels, warps, grids and models to structured text.
 
-The format is plain JSON-compatible dicts: every object carries a
-``kind`` plus its defining fields; composites carry ``children``.
-Round-trips are exact up to floating-point representation.
+The format is plain JSON-compatible dicts. Kernels and warps carry a
+``kind`` plus their defining fields; composites carry ``children``. A
+grid is its lattice's ``bounds`` and ``counts``, plus a warped grid's
+``axis_warps``, and is rebuilt bit for bit. Round trips are exact.
 """
 
 from __future__ import annotations
@@ -60,30 +61,16 @@ def kernel_from_dict(spec):
     raise ConfigError(f"unknown kernel kind {kind!r}")
 
 
-def _domain_out(domain):
-    lo, hi = domain
-    return [None if np.isinf(lo) else lo, None if np.isinf(hi) else hi]
-
-
-def _domain_in(val):
-    if val is None:
-        return None
-    lo = -np.inf if val[0] is None else float(val[0])
-    hi = np.inf if val[1] is None else float(val[1])
-    return (lo, hi)
-
-
 def warp_to_dict(warp):
     if isinstance(warp, Identity):
-        return {"kind": "identity", "domain": _domain_out(warp.domain)}
+        return {"kind": "identity"}
     if isinstance(warp, Polynomial1D):
         return {"kind": "polynomial", "coeffs": list(warp.coeffs),
-                "domain": _domain_out(warp.domain)}
+                "domain": list(warp.domain)}
     if isinstance(warp, PiecewiseLinearPhase):
         return {"kind": "phase",
                 "knot_times": warp.knot_times.tolist(),
-                "knot_phases": warp.knot_phases.tolist(),
-                "domain": _domain_out(warp.domain)}
+                "knot_phases": warp.knot_phases.tolist()}
     if isinstance(warp, ElementwiseWarp):
         return {"kind": "elementwise",
                 "children": [warp_to_dict(c) for c in warp.warps]}
@@ -93,14 +80,13 @@ def warp_to_dict(warp):
 def warp_from_dict(spec):
     kind = _field(spec, "kind", "warp")
     if kind == "identity":
-        return Identity(domain=_domain_in(spec.get("domain")))
+        return Identity()
     if kind == "polynomial":
         return Polynomial1D(_field(spec, "coeffs", "warp"),
-                            domain=_domain_in(_field(spec, "domain", "warp")))
+                            domain=_field(spec, "domain", "warp"))
     if kind == "phase":
         return PiecewiseLinearPhase(_field(spec, "knot_times", "warp"),
-                                    _field(spec, "knot_phases", "warp"),
-                                    domain=_domain_in(spec.get("domain")))
+                                    _field(spec, "knot_phases", "warp"))
     if kind == "elementwise":
         return ElementwiseWarp([warp_from_dict(c)
                                 for c in _field(spec, "children", "warp")])
@@ -108,17 +94,20 @@ def warp_from_dict(spec):
 
 
 def grid_to_dict(grid):
-    """``axes`` holds the lattice; a warped grid adds its ``axis_warps``."""
-    out = {"axes": [a.tolist() for a in grid.warped_axes]}
+    """The lattice's ``bounds`` and ``counts``; a warped grid adds its
+    ``axis_warps``."""
+    out = {"bounds": [list(b) for b in grid.bounds],
+           "counts": list(grid.shape)}
     if grid.axis_warps is not None:
         out["axis_warps"] = [warp_to_dict(w) for w in grid.axis_warps]
     return out
 
 
 def grid_from_dict(spec):
-    axes = _field(spec, "axes", "grid")
+    bounds = _field(spec, "bounds", "grid")
+    counts = _field(spec, "counts", "grid")
     warps = spec.get("axis_warps")
-    return InducingGrid([np.asarray(a, dtype=float) for a in axes],
+    return InducingGrid(bounds, counts,
                         None if warps is None else map(warp_from_dict, warps))
 
 

@@ -16,7 +16,7 @@ import scipy.linalg
 from .grids import (InducingGrid, grid_covering_box, interpolation_weights,
                     warped_grid)
 from .kernels import (Periodic, Product, QuasiPeriodic, SquaredExponential,
-                      dense_matrix, toeplitz_column)
+                      dense_matrix)
 from .krylov import cg_solve, lanczos, rademacher_probes, slq_logdet
 from .model import (GpComponent, GpModel, approx_nlml, build_operator,
                     exact_nlml, separate)
@@ -136,8 +136,7 @@ def _warp_phase_lattice():
 @check("warping.warped_grid_inverts_to_equispaced")
 def _warp_grid_consistency():
     poly = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.5, 1.0))
-    grid = InducingGrid([np.linspace(float(poly.forward(-1.4)),
-                                     float(poly.forward(0.9)), 64)])
+    grid = InducingGrid([(poly.forward(-1.4), poly.forward(0.9))], [64])
     uhat = warped_grid(grid, poly)
     back = poly.forward(uhat.axes[0])
     assert np.allclose(back, grid.axes[0], rtol=0, atol=1e-10), \
@@ -341,7 +340,7 @@ def _warp_restores_toeplitz():
         diag = np.diagonal(k_plain, offset=off)
         dev = max(dev, float(diag.max() - diag.min()))
     assert dev > 1e-3, "expected non-Toeplitz inducing matrix on the raw grid"
-    col = toeplitz_column(kernel, grid.axes[0])
+    col = kernel.eval(grid.axes[0] - grid.axes[0][0])
     k_struct = dense_matrix(kernel, grid.axes[0])
     assert np.allclose(k_struct, scipy.linalg.toeplitz(col),
                        rtol=1e-13, atol=1e-14), \

@@ -1,8 +1,10 @@
 """Invertible coordinate maps carrying the non-stationary phase.
 
-Each 1-D warp is strictly increasing over its domain, which guarantees
-invertibility. ``ElementwiseWarp`` stacks 1-D warps into a map that sends
-rectilinear lattices to rectilinear lattices axis by axis.
+Each 1-D warp is strictly increasing, which guarantees invertibility:
+``Identity`` and ``PiecewiseLinearPhase`` on all of R, ``Polynomial1D``
+on the finite domain where its monotonicity is proved. ``ElementwiseWarp``
+stacks 1-D warps into a map that sends rectilinear lattices to
+rectilinear lattices axis by axis.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import numpy as np
 from .exceptions import (DimensionMismatchError, MonotonicityError,
                          OutOfDomainError)
 
-_ROUNDTRIP_TOL = 1e-10
 # Roots of the derivative with an imaginary part below this (relative to
 # their modulus) count as real: a double root comes out of the companion
 # eigenvalues as a complex pair split by about sqrt(machine epsilon).
@@ -31,84 +32,38 @@ class Warp:
         raise NotImplementedError
 
 
-class Warp1D(Warp):
-    """Base for scalar warps with an interval domain."""
-
-    dim = 1
-
-    def __init__(self, domain=None):
-        if domain is None:
-            domain = (-np.inf, np.inf)
-        lo, hi = float(domain[0]), float(domain[1])
-        if not lo < hi:
-            raise ValueError("domain must satisfy lo < hi")
-        self.domain = (lo, hi)
-
-    def _check_domain(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.domain
-        if np.any(x < lo) or np.any(x > hi):
-            bad = np.flatnonzero((x < lo) | (x > hi)).ravel()
-            raise OutOfDomainError(
-                f"point index {int(bad[0])} outside warp domain [{lo}, {hi}]")
-        return x
-
-    @property
-    def image(self):
-        lo, hi = self.domain
-        if np.isinf(lo) or np.isinf(hi):
-            return (-np.inf, np.inf)
-        return (float(self._forward_raw(np.asarray(lo))),
-                float(self._forward_raw(np.asarray(hi))))
-
-    def _check_image(self, z):
-        z = np.asarray(z, dtype=float)
-        lo, hi = self.image
-        tol = 1e-12 * max(abs(lo), abs(hi), 1.0) if np.isfinite(lo) else 0.0
-        if np.any(z < lo - tol) or np.any(z > hi + tol):
-            bad = np.flatnonzero((z < lo - tol) | (z > hi + tol)).ravel()
-            raise OutOfDomainError(
-                f"point index {int(bad[0])} outside warp image [{lo}, {hi}]")
-        return z
-
-    def _forward_raw(self, x):
-        raise NotImplementedError
+class Identity(Warp):
+    """The identity map on R."""
 
     def forward(self, x):
-        return self._forward_raw(self._check_domain(x))
-
-
-class Identity(Warp1D):
-    """The identity map."""
-
-    def _forward_raw(self, x):
         return np.asarray(x, dtype=float).copy()
 
     def inverse(self, z):
-        return self._check_image(np.asarray(z, dtype=float)).copy()
+        return np.asarray(z, dtype=float).copy()
 
 
-class Polynomial1D(Warp1D):
+class Polynomial1D(Warp):
     """Odd-powered monotone polynomial warp with zero constant term.
 
     ``coeffs`` are in descending powers and the constant term is implied
-    zero, so ``[2, 0, 1]`` is ``2 x^3 + x``. Strict monotonicity on the
-    (required, finite) domain is verified exactly at construction: the
-    derivative has no real root in the closed domain and is positive at
-    its midpoint.
+    zero, so ``[2, 0, 1]`` is ``2 x^3 + x``. The map is defined on its
+    required, finite ``domain`` (``ValueError`` otherwise), where strict
+    monotonicity is verified exactly at construction: the derivative has
+    no real root in the closed domain and is positive at its midpoint.
+    ``forward`` rejects points outside the domain and ``inverse`` points
+    outside its ``image``, with ``OutOfDomainError``.
     """
 
     def __init__(self, coeffs, domain):
-        super().__init__(domain)
-        if not all(np.isfinite(self.domain)):
-            raise ValueError("Polynomial1D requires a finite domain")
+        if domain is None or not -np.inf < domain[0] < domain[1] < np.inf:
+            raise ValueError("Polynomial1D requires a finite domain lo < hi")
+        lo, hi = self.domain = (float(domain[0]), float(domain[1]))
         coeffs = [float(c) for c in coeffs]
         if not coeffs:
             raise ValueError("coeffs must be non-empty")
         self.coeffs = tuple(coeffs)
         self._poly = np.array(coeffs + [0.0])
         self._dpoly = np.polyder(self._poly)
-        lo, hi = self.domain
         roots = np.roots(self._dpoly)
         real = roots[np.abs(roots.imag)
                      <= _REAL_ROOT_RTOL * np.maximum(np.abs(roots), 1.0)].real
@@ -116,13 +71,29 @@ class Polynomial1D(Warp1D):
                 or np.polyval(self._dpoly, 0.5 * (lo + hi)) <= 0.0):
             raise MonotonicityError(
                 "polynomial derivative is not strictly positive over the domain")
+        self.image = (float(np.polyval(self._poly, lo)),
+                      float(np.polyval(self._poly, hi)))
 
-    def _forward_raw(self, x):
-        return np.polyval(self._poly, x)
+    @staticmethod
+    def _check_interval(values, interval, what, tol=0.0):
+        values = np.asarray(values, dtype=float)
+        lo, hi = interval
+        bad = (values < lo - tol) | (values > hi + tol)
+        if np.any(bad):
+            raise OutOfDomainError(
+                f"point index {int(np.flatnonzero(bad)[0])} outside warp "
+                f"{what} [{lo}, {hi}]")
+        return values
+
+    def forward(self, x):
+        return np.polyval(self._poly,
+                          self._check_interval(x, self.domain, "domain"))
 
     def inverse(self, z):
         """Safeguarded Newton with bisection fallback, at most 100 steps."""
-        z = self._check_image(np.asarray(z, dtype=float))
+        z = self._check_interval(
+            z, self.image, "image",
+            1e-12 * max(abs(self.image[0]), abs(self.image[1]), 1.0))
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
         lo = np.full_like(z, self.domain[0])
@@ -144,7 +115,7 @@ class Polynomial1D(Warp1D):
         return float(x[0]) if scalar else x
 
 
-class PiecewiseLinearPhase(Warp1D):
+class PiecewiseLinearPhase(Warp):
     """Piecewise-linear monotone map given by knot times and knot phases.
 
     Linear between knots and linearly extrapolated beyond the first/last
@@ -152,8 +123,7 @@ class PiecewiseLinearPhase(Warp1D):
     is defined on all of R.
     """
 
-    def __init__(self, knot_times, knot_phases, domain=None):
-        super().__init__(domain)
+    def __init__(self, knot_times, knot_phases):
         t = np.asarray(knot_times, dtype=float)
         p = np.asarray(knot_phases, dtype=float)
         if t.ndim != 1 or t.size < 2 or t.shape != p.shape:
@@ -167,6 +137,7 @@ class PiecewiseLinearPhase(Warp1D):
 
     @staticmethod
     def _interp_extrap(x, xp, yp):
+        x = np.asarray(x, dtype=float)
         y = np.interp(x, xp, yp)
         s0 = (yp[1] - yp[0]) / (xp[1] - xp[0])
         s1 = (yp[-1] - yp[-2]) / (xp[-1] - xp[-2])
@@ -174,11 +145,10 @@ class PiecewiseLinearPhase(Warp1D):
         y = np.where(x > xp[-1], yp[-1] + s1 * (x - xp[-1]), y)
         return y
 
-    def _forward_raw(self, x):
+    def forward(self, x):
         return self._interp_extrap(x, self.knot_times, self.knot_phases)
 
     def inverse(self, z):
-        z = self._check_image(np.asarray(z, dtype=float))
         return self._interp_extrap(z, self.knot_phases, self.knot_times)
 
 

@@ -101,25 +101,23 @@ class TestConfigRoundTrip:
     def test_warp_round_trip(self, warp):
         back = warp_from_dict(warp_to_dict(warp))
         assert type(back) is type(warp)
-        if hasattr(warp, "forward") and warp.dim == 1:
-            x = np.linspace(*[max(warp.domain[0], -1.0),
-                              min(warp.domain[1], 1.0)], 7) \
-                if hasattr(warp, "domain") else np.linspace(-1, 1, 7)
-            np.testing.assert_allclose(back.forward(x), warp.forward(x),
-                                       atol=1e-14)
+        if warp.dim == 1:
+            x = np.linspace(*getattr(warp, "domain", (-1.0, 1.0)), 7)
+            np.testing.assert_array_equal(back.forward(x), warp.forward(x))
 
     def test_grid_round_trip(self):
         g = grid_covering_box([(-1.0, 1.0), (0.0, 2.0)], [16, 20])
         spec = grid_to_dict(g)
-        assert list(spec) == ["axes"]
+        assert list(spec) == ["bounds", "counts"]
+        assert spec["counts"] == [16, 20]
         back = grid_from_dict(spec)
         for a, b in zip(back.axes, g.axes):
             np.testing.assert_array_equal(a, b)
 
     def test_warped_grid_round_trip(self):
         poly = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.5, 1.0))
-        g = warped_grid(InducingGrid([np.linspace(
-            float(poly.forward(-1.4)), float(poly.forward(0.9)), 32)]), poly)
+        g = warped_grid(InducingGrid(
+            [(poly.forward(-1.4), poly.forward(0.9))], [32]), poly)
         back = grid_from_dict(json.loads(json.dumps(grid_to_dict(g))))
         for got, want in ((back.axes, g.axes),
                           (back.warped_axes, g.warped_axes)):
@@ -146,7 +144,9 @@ class TestConfigRoundTrip:
         (warp_from_dict, {"kind": "polynomial", "domain": [0, 1]}, "coeffs"),
         (warp_from_dict, {"kind": "phase", "knot_phases": [0, 1]},
          "knot_times"),
-        (grid_from_dict, {}, "axes"),
+        (grid_from_dict, {}, "bounds"),
+        (grid_from_dict, {"bounds": [[0.0, 1.0]]}, "counts"),
+        (grid_from_dict, {"counts": [8]}, "bounds"),
         (model_from_json, '{"components": []}', "noise"),
         (model_from_json, '{"components": [{}], "noise": 0.1}', "kernel"),
     ])
@@ -277,13 +277,32 @@ class TestCliSmoke:
         ("numeric2d", "n_probes", 2.5),
         ("numeric2d", "lanczos_steps", 2.5),
         ("numeric2d", "max_steps", 2.5),
-        ("separate", "grid_per_cycle", 2.5)])
+        ("separate", "grid_per_cycle", 2.5),
+        ("numeric2d", "warp_coeffs", []),
+        ("numeric2d", "warp_coeffs", ["a"]),
+        ("numeric2d", "warp_coeffs", 2.0),
+        ("numeric2d", "warp_coeffs", [2.0, float("nan")]),
+        ("numeric2d", "warp_coeffs", [float("inf")])])
     def test_bad_scalar_in_config_exits_2(self, tmp_path, capsys, command,
                                           field, value):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({field: value}))
         assert main([command, "--config", str(bad)]) == 2
         assert f"{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--maternal-events", "maternal_events_csv"),
+        ("--fetal-events", "fetal_events_csv")])
+    @pytest.mark.parametrize("text, count", [("time\n", 0),
+                                             ("time\n0.4\n", 1)])
+    def test_events_csv_with_fewer_than_2_events_exits_2(
+            self, tmp_path, capsys, flag, field, text, count):
+        events = tmp_path / "events.csv"
+        events.write_text(text)
+        assert main(["separate", "--n", "200", "--max-steps", "1",
+                     flag, str(events)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}: need at least 2 events, got {count}" in err
 
     def test_infinite_noise_flag_exits_2(self, capsys):
         assert main(["numeric2d", "--n", "100", "--max-steps", "1",

@@ -15,33 +15,31 @@ from warpski.warping import ElementwiseWarp, Identity, Polynomial1D
 
 class TestInducingGrid:
     def test_shape_and_total_size(self):
-        g = InducingGrid([np.linspace(0, 1, 10), np.linspace(0, 2, 12)])
+        g = InducingGrid([(0, 1), (0, 2)], [10, 12])
         assert g.shape == (10, 12)
         assert g.total_size == 120
         assert g.ndim == 2
+        assert g.bounds == ((0.0, 1.0), (0.0, 2.0))
+        np.testing.assert_array_equal(g.axes[1], np.linspace(0.0, 2.0, 12))
 
-    def test_rejects_tiny_axes(self):
-        with pytest.raises(GridError, match="axis 0"):
-            InducingGrid([np.linspace(0, 1, 4)])
+    @pytest.mark.parametrize("count", [4, 7, 16.0, "16", True])
+    def test_rejects_a_small_or_non_integer_count(self, count):
+        with pytest.raises(GridError, match="axis 1: count must be an "
+                                            "integer >= 8"):
+            InducingGrid([(0, 1), (0, 1)], [16, count])
 
-    def test_rejects_decreasing_axes(self):
-        with pytest.raises(GridError):
-            InducingGrid([np.array([0.0, 1.0, 0.5, 2.0, 3, 4, 5, 6])])
+    @pytest.mark.parametrize("bounds", [
+        (1.0, 0.0), (1.0, 1.0), (np.nan, 7.0), (0.0, np.inf), (-np.inf, 7.0),
+        (0.0, 1.0, 2.0), (0.0,)])
+    def test_rejects_bounds_not_finite_and_increasing(self, bounds):
+        with pytest.raises(GridError, match="axis 1: bounds need finite"):
+            InducingGrid([(0.0, 9.0), bounds], [10, 8])
+        with pytest.raises(GridError, match="axis 0: bounds need finite"):
+            grid_from_dict({"bounds": [list(bounds)], "counts": [8]})
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", [0, 3, 7])
-    def test_rejects_non_finite_axes(self, value, where):
-        axis = np.arange(8.0)
-        axis[where] = value
-        with pytest.raises(GridError, match="axis 1 has a non-finite"):
-            InducingGrid([np.arange(10.0), axis])
-
-    def test_uneven_axis_fails_at_construction(self):
-        uneven = np.array([0.0, 1.0, 2.0, 3.5, 4.0, 5.0, 6.0, 7.0])
-        with pytest.raises(GridError, match="axis 1: .* uniform at index 3"):
-            InducingGrid([np.arange(8.0), uneven])
-        with pytest.raises(GridError, match="axis 0"):
-            grid_from_dict({"axes": [uneven.tolist()]})
+    def test_rejects_counts_not_matching_the_bounds(self):
+        with pytest.raises(DimensionMismatchError, match="one entry per"):
+            InducingGrid([(0.0, 1.0)], [8, 8])
 
 
 class TestGridCoveringBox:
@@ -87,14 +85,14 @@ class TestInterpolationWeights:
         np.testing.assert_array_equal(np.diff(w.matrix.indptr), 4 ** d)
 
     def test_midpoint_weights_match_closed_form(self):
-        g = InducingGrid([np.linspace(0.0, 7.0, 8)])
+        g = InducingGrid([(0.0, 7.0)], [8])
         w = interpolation_weights(g, np.array([2.5])).dense().ravel()
         want = np.zeros(8)
         want[1:5] = [-1 / 16, 9 / 16, 9 / 16, -1 / 16]
         np.testing.assert_allclose(w, want, rtol=0, atol=1e-14)
 
     def test_exact_on_grid_nodes(self):
-        g = InducingGrid([np.linspace(0.0, 9.0, 10)])
+        g = InducingGrid([(0.0, 9.0)], [10])
         w = interpolation_weights(g, np.array([3.0, 5.0])).dense()
         want = np.zeros((2, 10))
         want[0, 3] = 1.0
@@ -111,7 +109,7 @@ class TestInterpolationWeights:
                                    rtol=0, atol=1e-11)
 
     def test_points_outside_safe_region_raise(self):
-        g = InducingGrid([np.linspace(0.0, 1.0, 16)])
+        g = InducingGrid([(0.0, 1.0)], [16])
         with pytest.raises(InterpolationRegionError):
             interpolation_weights(g, np.array([0.5, 0.99999, 1.5]))
 
@@ -142,8 +140,8 @@ class TestInterpolationWeights:
         g = grid_covering_box([(-1.0, 1.0), (-1.0, 1.0)], [16, 20])
         pts = rng.uniform(-1, 1, size=(40, 2))
         w2 = interpolation_weights(g, pts).dense()
-        g0 = InducingGrid([g.axes[0]])
-        g1 = InducingGrid([g.axes[1]])
+        g0 = InducingGrid(g.bounds[:1], g.shape[:1])
+        g1 = InducingGrid(g.bounds[1:], g.shape[1:])
         w0 = interpolation_weights(g0, pts[:, 0]).dense()
         w1 = interpolation_weights(g1, pts[:, 1]).dense()
         rowwise = np.einsum("ni,nj->nij", w0, w1).reshape(40, -1)
@@ -166,8 +164,7 @@ class TestSkiAccuracy:
 
 def _poly_lattice(poly, count):
     """Equispaced lattice over the warp's image of [-1.4, 0.9]."""
-    return InducingGrid([np.linspace(float(poly.forward(-1.4)),
-                                     float(poly.forward(0.9)), count)])
+    return InducingGrid([(poly.forward(-1.4), poly.forward(0.9))], [count])
 
 
 class TestWarpedGrid:
@@ -177,16 +174,16 @@ class TestWarpedGrid:
         uhat = warped_grid(g, poly)
         np.testing.assert_allclose(poly.forward(uhat.axes[0]), g.axes[0],
                                    rtol=0, atol=1e-9)
-        assert uhat.warped_axes == g.axes
+        assert uhat.bounds == g.bounds and uhat.shape == g.shape
+        np.testing.assert_array_equal(uhat.warped_axes[0], g.axes[0])
         assert uhat.axis_warps == (poly,)
 
     def test_rejects_a_warp_that_reverses_the_lattice(self):
-        g = InducingGrid([np.linspace(-1.0, 1.0, 16)])
         flip = SimpleNamespace(inverse=lambda z: -z)
         with pytest.raises(GridError, match="warped axis 0"):
-            InducingGrid(g.axes, axis_warps=[flip])
+            InducingGrid([(-1.0, 1.0)], [16], axis_warps=[flip])
         with pytest.raises(DimensionMismatchError, match="one warp per axis"):
-            InducingGrid(g.axes, axis_warps=[flip, flip])
+            InducingGrid([(-1.0, 1.0)], [16], axis_warps=[flip, flip])
 
     def test_warped_weights_match_warp_then_interpolate(self):
         rng = np.random.default_rng(7)
@@ -205,8 +202,8 @@ class TestWarpedGrid:
         rng = np.random.default_rng(8)
         poly = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.5, 1.0))
         warp = ElementwiseWarp([poly, Identity()])
-        g = InducingGrid([*_poly_lattice(poly, 48).axes,
-                          np.linspace(-1.0, 1.0, 24)])
+        g = InducingGrid([*_poly_lattice(poly, 48).bounds, (-1.0, 1.0)],
+                         [48, 24])
         x = np.column_stack([rng.uniform(-1.0, 0.8, 300),
                              rng.uniform(-0.8, 0.8, 300)])
         w_raw = interpolation_weights(warped_grid(g, warp), x)

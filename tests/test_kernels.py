@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from warpski.exceptions import DimensionMismatchError, NonEquispacedAxisError
+from warpski.exceptions import DimensionMismatchError
 from warpski.kernels import (Periodic, Product, QuasiPeriodic,
-                             SquaredExponential, check_equispaced,
-                             dense_matrix, split_params, toeplitz_column)
+                             SquaredExponential, dense_matrix, split_params)
 
 
 class TestSquaredExponential:
@@ -171,30 +170,6 @@ class TestLogParams:
         assert c.tolist() == [2, 3, 4]
         with pytest.raises(DimensionMismatchError):
             split_params([2, 2], np.arange(5))
-
-
-class TestToeplitzColumn:
-    def test_matches_kernel_at_grid_lags(self):
-        k = SquaredExponential(1.2, 0.3)
-        axis = np.linspace(-1, 1, 33)
-        col = toeplitz_column(k, axis)
-        np.testing.assert_allclose(col, k.eval(axis - axis[0]), rtol=1e-14)
-
-    def test_rejects_non_equispaced_axis(self):
-        axis = np.array([0.0, 1.0, 2.0, 3.5, 4.0, 5.0, 6.0, 7.0])
-        with pytest.raises(NonEquispacedAxisError):
-            toeplitz_column(SquaredExponential(1.0, 1.0), axis)
-
-
-class TestCheckEquispaced:
-    def test_accepts_linspace(self):
-        check_equispaced(np.linspace(0, 5, 64))
-
-    def test_error_names_offending_index(self):
-        axis = np.arange(10.0)
-        axis[6] += 0.01
-        with pytest.raises(NonEquispacedAxisError, match="6"):
-            check_equispaced(axis)
 
 
 class TestDenseMatrix:

@@ -363,6 +363,42 @@ class TestFit:
         result = fit(huge, x, y, max_steps=2)
         assert result.flag == "no_finite_evaluation"
 
+    def test_overflowing_noise_backs_off(self):
+        # noise e^400 is a finite float, but its square is not
+        m = _model_1d()
+        x, y = _data(80)
+        huge = m.with_theta(m.theta + np.array([0.0, 0.0, 400.0]))
+        with pytest.raises(NonFiniteInputError,
+                           match="noise: its variance overflows"):
+            approx_nlml(huge, x, y, n_probes=2, lanczos_steps=5)
+        result = fit(huge, x, y, max_steps=2)
+        assert result.flag == "no_finite_evaluation"
+
+    @pytest.mark.parametrize("index, name", [(0, "c0.amplitude"),
+                                             (2, "noise")])
+    @pytest.mark.parametrize("shift", [800.0, -800.0, np.nan])
+    def test_with_theta_names_a_parameter_whose_exp_is_not_finite(
+            self, index, name, shift):
+        m = _model_1d()
+        theta = m.theta
+        theta[index] += shift
+        with pytest.raises(NonFiniteInputError,
+                           match=f"{name}: exp.* is not positive and finite"):
+            m.with_theta(theta)
+
+    def test_trial_point_whose_exp_overflows_backs_off(self, monkeypatch):
+        # a quadratic pulling the log-noise to 1000 makes L-BFGS try a
+        # point whose exp is inf; building that model must back off too
+        def pull(model, *args, **kwargs):
+            d = model.theta - 1000.0
+            return 0.5 * float(d @ d), d, {"cg_converged": True}
+
+        monkeypatch.setattr(warpski.model, "approx_nlml", pull)
+        m = _model_1d()
+        m.fixed[:2] = True
+        result = fit(m, *_data(20), max_steps=5)
+        assert result.n_evaluations > len(result.trace) > 0
+
     def test_fixed_parameters_do_not_move(self):
         m = _model_1d()
         m.fixed[1] = True

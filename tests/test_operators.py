@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from warpski.exceptions import DimensionMismatchError
+from warpski.exceptions import DimensionMismatchError, GridError
 from warpski.experiments import (ExperimentConfig, _synthetic_events,
                                  numeric2d_model, separation_model)
-from warpski.grids import grid_covering_box
+from warpski.grids import grid_covering_box, warped_grid
 from warpski.kernels import (Periodic, Product, QuasiPeriodic,
-                             SquaredExponential)
+                             SquaredExponential, dense_matrix)
 from warpski.operators import (MixtureOperator, build_component,
                                decompose_separable, warp_points)
 from warpski.structured import KronOperator, SymToeplitz
@@ -96,6 +96,23 @@ class TestSkiComponent:
             fd = (up.dense_ski() - dn.dense_ski()) @ v / (2 * eps)
             got = MixtureOperator([comp], 0.0, x.size).derivative_matvec(p, v)
             np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
+
+    def test_kuu_is_the_kernel_over_the_lattice(self):
+        rng = np.random.default_rng(3)
+        grid = grid_covering_box([(-1.0, 1.0), (0.0, 2.0)], [12, 9])
+        kernel = Product([SquaredExponential(1.5, 0.4),
+                          Periodic(1.0, 0.8, 1.3)], dims=[0, 1])
+        comp = build_component(kernel, ElementwiseWarp([Identity()] * 2),
+                               grid, rng.uniform(0.0, 1.0, size=(5, 2)))
+        nodes = np.stack(np.meshgrid(*grid.axes, indexing="ij"), -1)
+        np.testing.assert_allclose(
+            comp.kuu.dense(), dense_matrix(kernel, nodes.reshape(-1, 2)),
+            rtol=1e-14, atol=1e-15)
+
+    def test_rejects_a_warped_grid(self):
+        x, poly, grid, kernel = _warped_setup(n=20, m=64)
+        with pytest.raises(GridError, match="lattice in warped space"):
+            build_component(kernel, poly, warped_grid(grid, poly), x)
 
     def test_derivative_operator_built_once_per_parameter(self):
         x, poly, grid, kernel = _warped_setup(n=50, m=64)

@@ -1,6 +1,6 @@
 """Property tests of the operator contract, the prior-draw roots, the
-amplitude derivatives, the interpolation weights, the warps and the
-separation identity.
+amplitude derivatives, the inducing lattice, the interpolation weights,
+the warps and the separation identity.
 
 Block Krylov methods apply an operator to ``(n, p)`` blocks, so a block
 product must equal the single-column products stacked side by side.
@@ -8,20 +8,25 @@ Toeplitz orders are drawn on both sides of ``DENSE_MAX_ORDER``, so the
 dense and the FFT branch of ``SymToeplitz`` are both covered.
 """
 
+import json
+
 import numpy as np
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from warpski.grids import grid_covering_box, interpolation_weights
+from warpski.grids import (COVER_CELLS, MIN_AXIS_COUNT, InducingGrid,
+                           grid_covering_box, interpolation_weights)
 from warpski.exceptions import NotPositiveDefiniteError
 from warpski.kernels import (Periodic, Product, QuasiPeriodic,
-                             SquaredExponential, toeplitz_column)
+                             SquaredExponential)
 from warpski.model import GpComponent, GpModel, separate
 from warpski.operators import MixtureOperator, build_component
+from warpski.serialize import grid_from_dict, grid_to_dict
 from warpski.structured import (DENSE_MAX_ORDER, KronOperator, SymToeplitz,
                                 toeplitz_root)
-from warpski.warping import Identity, Polynomial1D, phase_from_events
+from warpski.warping import (Identity, PiecewiseLinearPhase, Polynomial1D,
+                             phase_from_events)
 
 FAST = settings(max_examples=25, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -115,7 +120,7 @@ def test_circulant_root_squares_to_factor_or_names_it(kernel, m):
     # PSD_RTOL times the embedding's largest, itself <= its column's l1 norm
     r = root(np.eye(width))
     l1 = 2.0 * np.abs(kernel.eval(np.arange(width // 2 + 1.0))).sum()
-    factor = scipy.linalg.toeplitz(toeplitz_column(kernel, axis))
+    factor = scipy.linalg.toeplitz(kernel.eval(axis - axis[0]))
     assert np.linalg.norm(r @ r.T - factor, 2) <= 1e-8 * l1
 
 
@@ -169,6 +174,41 @@ def test_interpolation_rows_sum_to_one_with_4_pow_d_entries(ndim, seed):
     w = interpolation_weights(grid, points)
     assert np.all(np.diff(w.matrix.indptr) == 4 ** ndim)
     np.testing.assert_allclose(w.matrix.sum(axis=1).A1, 1.0, atol=1e-12)
+
+
+# (lo, width, count) of one lattice axis
+lattice_axes = st.tuples(st.floats(-100.0, 100.0), st.floats(1e-3, 1e3),
+                         st.integers(MIN_AXIS_COUNT, 300))
+
+
+@FAST
+@given(axes=st.lists(lattice_axes, min_size=1, max_size=3))
+def test_lattice_is_linspace_and_round_trips_exactly(axes):
+    bounds = [(lo, lo + width) for lo, width, _ in axes]
+    counts = [count for _, _, count in axes]
+    grid = InducingGrid(bounds, counts)
+    for axis, (lo, hi), count in zip(grid.warped_axes, bounds, counts):
+        np.testing.assert_array_equal(axis, np.linspace(lo, hi, count))
+    phase = PiecewiseLinearPhase([0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
+    for g in (grid, InducingGrid(bounds, counts, [phase] * len(counts))):
+        spec = json.loads(json.dumps(grid_to_dict(g)))
+        back = grid_from_dict(spec)
+        assert grid_to_dict(back) == spec
+        for got, want in zip(back.axes + back.warped_axes,
+                             g.axes + g.warped_axes):
+            np.testing.assert_array_equal(got, want)
+
+
+@FAST
+@given(axis=lattice_axes)
+def test_covering_box_leaves_three_cells_per_side(axis):
+    lo, width, count = axis
+    hi = lo + width
+    grid = grid_covering_box([(lo, hi)], [count])
+    np.testing.assert_allclose(
+        grid.axes[0][[COVER_CELLS, -1 - COVER_CELLS]], [lo, hi],
+        rtol=0, atol=1e-9 * width)
+    interpolation_weights(grid, np.array([lo, hi]))  # inside the safe region
 
 
 @FAST

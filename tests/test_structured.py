@@ -4,7 +4,7 @@ import scipy.linalg
 
 from warpski.exceptions import (DimensionMismatchError,
                                 NotPositiveDefiniteError)
-from warpski.kernels import Periodic, SquaredExponential, toeplitz_column
+from warpski.kernels import Periodic, SquaredExponential
 from warpski.model import build_operator
 from warpski.structured import (DENSE_MAX_ORDER, KronOperator, SymToeplitz,
                                 mode_products, toeplitz_root)
@@ -78,7 +78,7 @@ class TestKronOperator:
 def _se_root(m, index=0):
     kernel = SquaredExponential(1.3, 0.05 * m)
     axis = np.arange(m, dtype=float)
-    return (SymToeplitz(toeplitz_column(kernel, axis)),
+    return (SymToeplitz(kernel.eval(axis)),
             toeplitz_root(kernel.eval, axis, index))
 
 
@@ -121,7 +121,7 @@ class TestToeplitzRoot:
         # dense factor is, to rounding (eigenvalues -9.6e-14 to 140)
         kernel = Periodic(1.0, 1.0, 7.3)
         axis = np.arange(300.0)
-        factor = SymToeplitz(toeplitz_column(kernel, axis)).dense()
+        factor = SymToeplitz(kernel.eval(axis)).dense()
         root, width = toeplitz_root(kernel.eval, axis, 0)
         assert width == 300
         r = root(np.eye(width))

@@ -14,11 +14,6 @@ class TestIdentity:
         np.testing.assert_array_equal(w.forward(x), x)
         np.testing.assert_array_equal(w.inverse(x), x)
 
-    def test_domain_enforced(self):
-        w = Identity(domain=(-1.0, 1.0))
-        with pytest.raises(OutOfDomainError, match="index 1"):
-            w.forward(np.array([0.5, 2.0]))
-
 
 class TestPolynomial1D:
     def test_coefficient_convention(self):
@@ -55,9 +50,17 @@ class TestPolynomial1D:
             Polynomial1D([1.0, 0.0, 0.0], domain=(0.0, 1.0))
         Polynomial1D([1.0, 0.0, 0.0], domain=(0.1, 1.0))
 
-    def test_requires_finite_domain(self):
-        with pytest.raises(ValueError):
-            Polynomial1D([1.0], domain=None)
+    @pytest.mark.parametrize("domain", [None, (0.0, np.inf), (np.nan, 1.0),
+                                        (1.0, 1.0), (1.0, 0.0)])
+    def test_requires_finite_domain(self, domain):
+        with pytest.raises(ValueError, match="finite domain lo < hi"):
+            Polynomial1D([1.0], domain=domain)
+
+    def test_forward_rejects_points_outside_domain(self):
+        w = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.0, 1.0))
+        with pytest.raises(OutOfDomainError, match="index 1 outside warp "
+                                                   "domain"):
+            w.forward(np.array([0.5, 2.0]))
 
     def test_inverse_rejects_points_outside_image(self):
         w = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.0, 1.0))
