@@ -81,8 +81,9 @@ class ExperimentConfig:
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             kind = "integer" if name in _INTEGER_FIELDS else "number"
-            if not (isinstance(value, numbers.Integral if kind == "integer"
-                               else numbers.Real) and 0 < value < np.inf):
+            if isinstance(value, bool) or not (isinstance(
+                    value, numbers.Integral if kind == "integer"
+                    else numbers.Real) and 0 < value < np.inf):
                 raise ConfigError(f"{name}: must be a positive finite {kind}")
         for name in ("cg_tol_inference", "cg_tol_separation"):
             if not getattr(self, name) < 1:
@@ -92,9 +93,10 @@ class ExperimentConfig:
         if not (isinstance(self.period_jitter, numbers.Real)
                 and 0 <= self.period_jitter < np.inf):
             raise ConfigError("period_jitter: must be finite and >= 0")
-        if not all(np.shape(b) == (2,) and -np.inf < b[0] < b[1] < np.inf
-                   for b in self.data_box):
-            raise ConfigError("data_box: need finite (lo, hi) with lo < hi")
+        if len(self.data_box) != 2 or not all(
+                np.shape(b) == (2,) and -np.inf < b[0] < b[1] < np.inf
+                for b in self.data_box):
+            raise ConfigError("data_box: need 2 finite (lo, hi), each lo < hi")
         coeffs = self.warp_coeffs
         if not (isinstance(coeffs, (list, tuple)) and coeffs and all(
                 isinstance(c, numbers.Real) and -np.inf < c < np.inf
@@ -316,7 +318,7 @@ def run_separation1d(config):
                 "increasing with at least 2 rows")
     else:
         t = np.arange(config.n) * config.dt
-    t_end = float(t[-1])
+    t_start, t_end = float(t[0]), float(t[-1])
 
     warps = []
     for name, period in (("maternal_events_csv", config.maternal_period),
@@ -324,12 +326,13 @@ def run_separation1d(config):
                           config.maternal_period / config.period_ratio)):
         path = getattr(config, name)
         if not path:
-            events = _synthetic_events(rng, t_end, period, config.period_jitter)
+            events = t_start + _synthetic_events(
+                rng, t_end - t_start, period, config.period_jitter)
         elif (events := load_events_csv(path)).size < 2:
             raise ConfigError(f"{name}: need at least 2 events, got "
                               f"{events.size}")
         warps.append(phase_from_events(events))
-    model = separation_model(config, warps, t_end, t_start=float(t[0]))
+    model = separation_model(config, warps, t_end, t_start=t_start)
 
     if config.data_csv:
         truths = None

@@ -6,9 +6,10 @@ optimization is unconstrained. Gradients are taken with respect to the
 log-parameters throughout.
 
 Parameter ordering is stable per kernel kind: amplitude first, then
-lengthscales, then periods. A ``Product`` concatenates its children's
-parameters in child order, and ``split_params`` cuts such a flat vector
-back into its parts.
+lengthscales, then periods. ``Product``, the one composite kernel,
+concatenates its children's parameters in child order, and
+``split_params`` cuts such a flat vector back into its parts;
+``QuasiPeriodic`` is the product of an SE envelope and a periodic kernel.
 """
 
 from __future__ import annotations
@@ -79,17 +80,6 @@ class Kernel:
         """Gradient d k / d log(theta_j), stacked on a leading axis."""
         raise NotImplementedError
 
-    def _check_tau(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        if self.arity == 1:
-            return tau
-        if tau.ndim == 0 or tau.shape[-1] != self.arity:
-            raise DimensionMismatchError(
-                f"kernel arity {self.arity} but lag has trailing "
-                f"dimension {tau.shape[-1] if tau.ndim else 0}"
-            )
-        return tau
-
 
 class SquaredExponential(Kernel):
     """k(tau) = amplitude^2 * exp(-tau^2 / (2 lengthscale^2))."""
@@ -100,12 +90,12 @@ class SquaredExponential(Kernel):
         self.log_params = _log_positive((amplitude, lengthscale))
 
     def eval(self, tau):
-        tau = self._check_tau(tau)
+        tau = np.asarray(tau, dtype=float)
         a, l = np.exp(self.log_params)
         return a * a * np.exp(-0.5 * (tau / l) ** 2)
 
     def grad(self, tau):
-        tau = self._check_tau(tau)
+        tau = np.asarray(tau, dtype=float)
         k = self.eval(tau)
         _, l = np.exp(self.log_params)
         return np.stack([2.0 * k, k * (tau / l) ** 2])
@@ -121,17 +111,17 @@ class Periodic(Kernel):
         self.log_params = _log_positive((amplitude, lengthscale, period))
 
     def eval(self, tau):
-        tau = self._check_tau(tau)
+        tau = np.asarray(tau, dtype=float)
         a, l, p = np.exp(self.log_params)
         s = np.sin(np.pi * tau / p)
         return a * a * np.exp(-2.0 * (s / l) ** 2)
 
     def grad(self, tau):
-        tau = self._check_tau(tau)
-        a, l, p = np.exp(self.log_params)
+        tau = np.asarray(tau, dtype=float)
+        k = self.eval(tau)
+        _, l, p = np.exp(self.log_params)
         arg = np.pi * tau / p
         s = np.sin(arg)
-        k = a * a * np.exp(-2.0 * (s / l) ** 2)
         d_amp = 2.0 * k
         d_len = k * 4.0 * (s / l) ** 2
         # d/d log p via chain rule: sin(2 arg) = 2 sin(arg) cos(arg)
@@ -151,8 +141,7 @@ class Product(Kernel):
     def __init__(self, children, dims=None):
         children = list(children)
         if not children:
-            raise ValueError(
-                f"{type(self).__name__} requires at least one child kernel")
+            raise ValueError("Product requires at least one child kernel")
         if any(c.arity != 1 for c in children):
             raise DimensionMismatchError("Product children must be 1-D kernels")
         if dims is None:
@@ -171,29 +160,30 @@ class Product(Kernel):
         self.log_params = np.concatenate([c.log_params for c in children])
         self.log_params.flags.writeable = False
 
-    def _with_children(self, children):
-        return Product(children, self.dims)
-
     def with_log_params(self, log_params):
         parts = split_params([c.n_params for c in self.children], log_params)
-        return self._with_children(
-            [c.with_log_params(p) for c, p in zip(self.children, parts)])
+        return Product([c.with_log_params(p)
+                        for c, p in zip(self.children, parts)], self.dims)
 
     def _child_lags(self, tau):
-        tau = self._check_tau(tau)
+        tau = np.asarray(tau, dtype=float)
         if self.arity == 1:
-            return tau, [tau for _ in self.children]
-        return tau, [tau[..., d] for d in self.dims]
+            return [tau for _ in self.children]
+        if tau.ndim == 0 or tau.shape[-1] != self.arity:
+            raise DimensionMismatchError(
+                f"kernel arity {self.arity} but lag has trailing "
+                f"dimension {tau.shape[-1] if tau.ndim else 0}")
+        return [tau[..., d] for d in self.dims]
 
     def eval(self, tau):
-        _, lags = self._child_lags(tau)
+        lags = self._child_lags(tau)
         out = self.children[0].eval(lags[0])
         for c, lag in zip(self.children[1:], lags[1:]):
             out = out * c.eval(lag)
         return out
 
     def grad(self, tau):
-        _, lags = self._child_lags(tau)
+        lags = self._child_lags(tau)
         vals = [c.eval(lag) for c, lag in zip(self.children, lags)]
         blocks = []
         for i, (c, lag) in enumerate(zip(self.children, lags)):
@@ -203,30 +193,15 @@ class Product(Kernel):
         return np.concatenate(blocks)
 
 
-class QuasiPeriodic(Product):
-    """SE envelope times a unit-amplitude periodic kernel on the same axis.
-
-    Parameter layout follows the Product convention: ``log_params`` is the
-    log of (amplitude, env_lengthscale, 1, per_lengthscale, period) and
-    ``param_names`` is ("0.amplitude", "0.lengthscale", "1.amplitude",
-    "1.lengthscale", "1.period"), the SE child's then the periodic child's.
-    The periodic amplitude, at index 2, is redundant with the SE amplitude
-    and is normally held fixed during learning.
-    """
-
-    def __init__(self, amplitude=None, env_lengthscale=None,
-                 per_lengthscale=None, period=None, _children=None):
-        if _children is None:
-            _children = [SquaredExponential(amplitude, env_lengthscale),
-                         Periodic(1.0, per_lengthscale, period)]
-        if (len(_children) != 2
-                or not isinstance(_children[0], SquaredExponential)
-                or not isinstance(_children[1], Periodic)):
-            raise ValueError("QuasiPeriodic children must be (SE, Periodic)")
-        super().__init__(_children, dims=[0, 0])
-
-    def _with_children(self, children):
-        return QuasiPeriodic(_children=children)
+def QuasiPeriodic(amplitude, env_lengthscale, per_lengthscale, period):
+    """SE envelope times a unit-amplitude periodic kernel, as a ``Product``
+    on one shared lag. Its ``log_params`` is the log of (amplitude,
+    env_lengthscale, 1, per_lengthscale, period), and ``param_names`` is
+    ("0.amplitude", "0.lengthscale", "1.amplitude", "1.lengthscale",
+    "1.period"). The periodic amplitude, at index 2, is redundant with the
+    SE amplitude and is normally held fixed in learning."""
+    return Product([SquaredExponential(amplitude, env_lengthscale),
+                    Periodic(1.0, per_lengthscale, period)])
 
 
 def pairwise_lags(kernel, x):

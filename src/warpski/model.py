@@ -160,6 +160,14 @@ def exact_nlml(model, x, y, with_gradient=True):
     return value, np.array(grad)
 
 
+def _check_y(x, y):
+    """``y`` as floats; it must have shape (n,) for the n points ``x``."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != np.shape(x)[:1]:
+        raise DimensionMismatchError(f"y: shape {y.shape}, want ({len(x)},)")
+    return y
+
+
 def _log_divided_difference(vals):
     """Loewner matrix of log: (log a - log b) / (a - b), 1/a on the diagonal."""
     a, b = vals[:, None], vals[None, :]
@@ -203,14 +211,14 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     three-term recurrence and holds no basis. Only ``model.free_indices()``
     are differentiated; fixed entries are exactly 0, the gradient of the
     objective ``fit`` minimises. Returns ``(value, gradient or None,
-    diagnostics)``. A nonpositive ``n_probes`` or ``lanczos_steps`` raises
-    ``ConfigError``.
+    diagnostics)``. An ``n_probes`` or ``lanczos_steps`` that is not an
+    integer >= 1 raises ``ConfigError``.
     """
     for name, count in (("n_probes", n_probes),
                         ("lanczos_steps", lanczos_steps)):
-        if count <= 0:
+        if not (np.issubdtype(type(count), np.integer) and count > 0):
             raise ConfigError(f"{name}: must be a positive integer")
-    y = np.asarray(y, dtype=float)
+    y = _check_y(x, y)
     n = y.size
     op = operator if operator is not None else build_operator(model, x)
     probes = rademacher_probes(n, n_probes, seed)
@@ -281,7 +289,7 @@ def fit(model, x, y, max_steps=100, seed=0, n_probes=20, cg_tol=1e-2,
     evaluation was finite and positive definite.
     """
     _check_finite("x", x)
-    _check_finite("y", y)
+    _check_finite("y", _check_y(x, y))
     free = model.free_indices()
     if free.size == 0:
         return FitResult(model=model, value=np.nan, trace=[],
@@ -346,7 +354,7 @@ def separate(model, x, y, cg_tol=5e-3, operator=None):
     structured MVM per component. The identity
     sum_j mean_j + sigma^2 alpha = y holds to CG tolerance.
     """
-    y = np.asarray(y, dtype=float)
+    y = _check_y(x, y)
     op = operator if operator is not None else build_operator(model, x)
     rep = cg_solve(op.matvec, y, tol=cg_tol)
     means = [c.matvec(rep.x) for c in op.components]

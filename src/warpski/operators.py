@@ -149,10 +149,6 @@ class MixtureOperator:
             for local in range(c.kernel.n_params)) + (("noise",),)
 
     @property
-    def shape(self):
-        return (self.n, self.n)
-
-    @property
     def n_params(self):
         return len(self._owners)
 

@@ -1,9 +1,10 @@
 """Serialization of kernels, warps, grids and models to structured text.
 
 The format is plain JSON-compatible dicts. Kernels and warps carry a
-``kind`` plus their defining fields; composites carry ``children``. A
-grid is its lattice's ``bounds`` and ``counts``, plus a warped grid's
-``axis_warps``, and is rebuilt bit for bit. Round trips are exact.
+``kind`` plus their defining fields; composites carry ``children``, and a
+quasi-periodic kernel is a ``"product"`` on ``dims`` [0, 0]. A grid is its
+lattice's ``bounds`` and ``counts``, plus a warped grid's ``axis_warps``,
+and is rebuilt bit for bit. Round trips are exact.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .grids import InducingGrid
-from .kernels import Periodic, Product, QuasiPeriodic, SquaredExponential
+from .kernels import Periodic, Product, SquaredExponential
 from .model import GpComponent, GpModel
 from .warping import (ElementwiseWarp, Identity, PiecewiseLinearPhase,
                       Polynomial1D)
@@ -36,9 +37,6 @@ def kernel_to_dict(kernel):
         if isinstance(kernel, cls):
             return {"kind": kind, **dict(zip(cls.param_names,
                                              np.exp(kernel.log_params)))}
-    if isinstance(kernel, QuasiPeriodic):
-        return {"kind": "quasiperiodic",
-                "children": [kernel_to_dict(c) for c in kernel.children]}
     if isinstance(kernel, Product):
         return {"kind": "product", "dims": list(kernel.dims),
                 "children": [kernel_to_dict(c) for c in kernel.children]}
@@ -50,10 +48,6 @@ def kernel_from_dict(spec):
     if kind in _LEAF_KINDS:
         cls = _LEAF_KINDS[kind]
         return cls(*(_field(spec, name, "kernel") for name in cls.param_names))
-    if kind == "quasiperiodic":
-        children = [kernel_from_dict(c)
-                    for c in _field(spec, "children", "kernel")]
-        return QuasiPeriodic(_children=children)
     if kind == "product":
         children = [kernel_from_dict(c)
                     for c in _field(spec, "children", "kernel")]

@@ -10,6 +10,7 @@ from warpski.serialize import (grid_from_dict, grid_to_dict, kernel_from_dict,
                                warp_from_dict, warp_to_dict)
 from warpski.csvio import load_events_csv, load_series_csv, save_columns_csv
 from warpski.exceptions import ConfigError, CsvFormatError
+from warpski.experiments import ExperimentConfig, separation_model
 from warpski.grids import (InducingGrid, grid_covering_box,
                            interpolation_weights, warped_grid)
 from warpski.kernels import Periodic, Product, QuasiPeriodic, SquaredExponential
@@ -55,7 +56,14 @@ class TestCsvIo:
                  "line 3: column 'b'"),
                 (load_series_csv, "a,b\n1.0,2.0\n-inf,4.0\n",
                  "line 3: column 'a'"),
-                (load_events_csv, "time\n0.5\ninf\n", "line 3: column 1")]:
+                (load_series_csv, "a,b\n1.0,2.0\n3.0\n",
+                 "line 3: expected 2 fields, found 1"),
+                (load_series_csv, "", "empty file"),
+                (load_events_csv, "time\n0.5\ninf\n", "line 3: column 1"),
+                (load_events_csv, "time\n0.5,1.0\n",
+                 "line 2: expected a single column"),
+                (load_events_csv, "time\n0.5\nabc\n",
+                 "line 3: not a number: 'abc'")]:
             path.write_text(text)
             with pytest.raises(CsvFormatError, match=match):
                 loader(str(path))
@@ -72,9 +80,10 @@ class TestCsvIo:
         np.testing.assert_array_equal(load_events_csv(str(path)),
                                       [0.5, 1.25, 2.0])
 
-    def test_missing_file_raises(self):
+    @pytest.mark.parametrize("loader", [load_series_csv, load_events_csv])
+    def test_missing_file_raises(self, tmp_path, loader):
         with pytest.raises(CsvFormatError, match="no such file"):
-            load_series_csv("/nonexistent/file.csv")
+            loader(str(tmp_path / "missing.csv"))
 
 
 class TestConfigRoundTrip:
@@ -155,9 +164,30 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=f"'{field}'"):
             load(spec)
 
+    def test_separation_model_json_round_trip(self):
+        config = ExperimentConfig(kind="separation1d", n=200)
+        t = np.arange(config.n) * config.dt
+        warps = [phase_from_events(np.arange(-1.0, 1.5, period))
+                 for period in (0.85, 0.3)]
+        model = separation_model(config, warps, float(t[-1]))
+        spec = json.loads(model_to_json(model))
+        for comp in spec["components"]:
+            assert comp["kernel"]["kind"] == "product"
+            assert comp["kernel"]["dims"] == [0, 0]
+            assert [c["kind"] for c in comp["kernel"]["children"]] == \
+                ["se", "periodic"]
+        back = model_from_json(model_to_json(model))
+        assert np.array_equal(back.theta, model.theta)
+        assert back.param_names == model.param_names
+        np.testing.assert_array_equal(back.fixed, model.fixed)
+
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigError):
             kernel_from_dict({"kind": "matern"})
+        with pytest.raises(ConfigError, match="'quasiperiodic'"):
+            kernel_from_dict({"kind": "quasiperiodic", "children": [
+                kernel_to_dict(c) for c in
+                QuasiPeriodic(1.2, 5.0, 0.6, 2.0).children]})
         with pytest.raises(ConfigError):
             warp_from_dict({"kind": "sigmoid"})
 
@@ -282,13 +312,30 @@ class TestCliSmoke:
         ("numeric2d", "warp_coeffs", ["a"]),
         ("numeric2d", "warp_coeffs", 2.0),
         ("numeric2d", "warp_coeffs", [2.0, float("nan")]),
-        ("numeric2d", "warp_coeffs", [float("inf")])])
+        ("numeric2d", "warp_coeffs", [float("inf")]),
+        ("numeric2d", "n", True),
+        ("numeric2d", "n_probes", True),
+        ("separate", "grid_per_cycle", True),
+        ("numeric2d", "data_box", [[-1.2, 0.75]]),
+        ("numeric2d", "data_box", [[-1.2, 0.75], [-2.5, 2.5], [0.0, 1.0]])])
     def test_bad_scalar_in_config_exits_2(self, tmp_path, capsys, command,
                                           field, value):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({field: value}))
         assert main([command, "--config", str(bad)]) == 2
         assert f"{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "config file not found: "), ("{not json", ": invalid JSON"),
+        ("[1, 2]", ": top level must be an object")])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, text,
+                                            message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["numeric2d", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
 
     @pytest.mark.parametrize("flag, field", [
         ("--maternal-events", "maternal_events_csv"),
@@ -377,6 +424,17 @@ class TestCliSmoke:
         assert main(["separate", "--data", str(data), "--max-steps", "1",
                      "--n-probes", "2"]) == 2
         assert "'time' and 'value'" in capsys.readouterr().err
+
+    def test_separate_data_before_the_first_period(self, tmp_path, capsys):
+        # synthetic events cover the series span wherever it starts
+        t = np.linspace(-10.0, -5.0, 300)
+        data = tmp_path / "series.csv"
+        save_columns_csv(str(data), {"time": t, "value": np.sin(7.4 * t)})
+        code = main(["separate", "--data", str(data), "--max-steps", "1",
+                     "--n-probes", "2"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "n: 300" in captured.out.splitlines()
 
     @staticmethod
     def _small_config(tmp_path):

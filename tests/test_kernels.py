@@ -123,6 +123,20 @@ class TestComposite:
         assert np.all(np.isfinite(got))
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("lags", [np.zeros((5, 3)), np.zeros((5, 1)),
+                                      np.zeros(())],
+                             ids=["3-axis", "1-axis", "0-d"])
+    def test_2d_product_rejects_lags_of_wrong_trailing_dimension(self, lags):
+        k = Product([SquaredExponential(1.5, 0.4),
+                     SquaredExponential(1.0, 0.9)], dims=[0, 1])
+        for method in (k.eval, k.grad):
+            with pytest.raises(DimensionMismatchError, match="arity 2"):
+                method(lags)
+
+    def test_product_needs_a_child(self):
+        with pytest.raises(ValueError, match="Product requires"):
+            Product([])
+
     def test_with_log_params_round_trip(self):
         k = Product([SquaredExponential(1.5, 0.4),
                      Periodic(0.7, 0.9, 1.3)], dims=[0, 1])

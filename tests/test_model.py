@@ -205,14 +205,25 @@ class TestApproxNlml:
         assert len(bases) == (8 if with_gradient else 0)
 
     @pytest.mark.parametrize("field, count", [
-        ("n_probes", 0), ("n_probes", -1), ("lanczos_steps", 0)])
-    def test_rejects_nonpositive_krylov_sizes(self, field, count):
+        ("n_probes", 0), ("n_probes", -1), ("lanczos_steps", 0),
+        ("n_probes", 2.0), ("n_probes", True), ("lanczos_steps", 2.5)])
+    def test_rejects_krylov_sizes_that_are_not_positive_integers(
+            self, field, count):
         m = _model_1d()
         x, y = _data(50)
         with pytest.raises(ConfigError, match=f"{field}:"):
             approx_nlml(m, x, y, **{field: count})
         with pytest.raises(ConfigError, match=f"{field}:"):
             fit(m, x, y, max_steps=2, **{field: count})
+
+
+@pytest.mark.parametrize("call", [approx_nlml, fit, separate],
+                         ids=["approx_nlml", "fit", "separate"])
+@pytest.mark.parametrize("shape", [(50, 1), (49,), (50, 2)])
+def test_y_must_have_shape_n(call, shape):
+    x, y = _data(50)
+    with pytest.raises(DimensionMismatchError, match=r"y: shape .* \(50,\)"):
+        call(_model_1d(), x, np.resize(y, shape))
 
 
 class TestProjectedTraceGradient:

@@ -48,6 +48,10 @@ class TestDecomposeSeparable:
     def test_arity_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             decompose_separable(SquaredExponential(1.0, 0.5), 2)
+        k2 = Product([SquaredExponential(1.0, 0.5),
+                      SquaredExponential(1.0, 0.5)], dims=[0, 1])
+        with pytest.raises(DimensionMismatchError, match="does not match grid"):
+            decompose_separable(k2, 1)
 
 
 class TestWarpPoints:
@@ -164,6 +168,11 @@ class TestMixtureOperator:
         u = rng.normal(size=x.size)
         v = rng.normal(size=x.size)
         assert u @ op.matvec(v) == pytest.approx(v @ op.matvec(u), rel=1e-10)
+
+    def test_rejects_weights_with_wrong_row_count(self):
+        op, _ = self._mixture()
+        with pytest.raises(DimensionMismatchError, match="row count"):
+            MixtureOperator(op.components, 0.04, op.n + 1)
 
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
