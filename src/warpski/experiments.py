@@ -37,6 +37,11 @@ _INTEGER_FIELDS = ("n", "n_probes", "lanczos_steps", "max_steps",
                    "grid_per_cycle")
 
 
+def _is_number(value, kind=numbers.Real):
+    """``value`` is a ``kind`` number; a JSON ``true``/``false`` is not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Experiment settings; field names mirror the CLI flags."""
@@ -81,31 +86,29 @@ class ExperimentConfig:
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             kind = "integer" if name in _INTEGER_FIELDS else "number"
-            if isinstance(value, bool) or not (isinstance(
-                    value, numbers.Integral if kind == "integer"
-                    else numbers.Real) and 0 < value < np.inf):
+            if not (_is_number(value, numbers.Integral if kind == "integer"
+                               else numbers.Real) and 0 < value < np.inf):
                 raise ConfigError(f"{name}: must be a positive finite {kind}")
         for name in ("cg_tol_inference", "cg_tol_separation"):
             if not getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be below 1")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (_is_number(self.seed, numbers.Integral) and self.seed >= 0):
             raise ConfigError("seed: must be an integer >= 0")
-        if not (isinstance(self.period_jitter, numbers.Real)
+        if not (_is_number(self.period_jitter)
                 and 0 <= self.period_jitter < np.inf):
             raise ConfigError("period_jitter: must be finite and >= 0")
         if len(self.data_box) != 2 or not all(
-                np.shape(b) == (2,) and -np.inf < b[0] < b[1] < np.inf
-                for b in self.data_box):
+                np.shape(b) == (2,) and all(map(_is_number, b))
+                and -np.inf < b[0] < b[1] < np.inf for b in self.data_box):
             raise ConfigError("data_box: need 2 finite (lo, hi), each lo < hi")
         coeffs = self.warp_coeffs
         if not (isinstance(coeffs, (list, tuple)) and coeffs and all(
-                isinstance(c, numbers.Real) and -np.inf < c < np.inf
-                for c in coeffs)):
+                _is_number(c) and -np.inf < c < np.inf for c in coeffs)):
             raise ConfigError("warp_coeffs: need a non-empty list of finite "
                               "numbers")
         amps = self.amplitudes
         if len(amps) != 2 or not all(
-                isinstance(a, numbers.Real) and 0 < a < np.inf for a in amps):
+                _is_number(a) and 0 < a < np.inf for a in amps):
             raise ConfigError("amplitudes: need exactly 2, all positive "
                               "and finite")
         for name in ("grid_counts", "sample_grid_counts"):

@@ -207,8 +207,8 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     forms taken from the basis and, for an amplitude where
     ``MixtureOperator.derivative_forms`` can, from the probe's T: the
     derivative of the seeded estimate itself, so it is consistent with
-    finite differences of the value. Without, Lanczos runs the plain
-    three-term recurrence and holds no basis. Only ``model.free_indices()``
+    finite differences of the value. Without, one basis-free Lanczos
+    recurrence advances all probes together. Only ``model.free_indices()``
     are differentiated; fixed entries are exactly 0, the gradient of the
     objective ``fit`` minimises. Returns ``(value, gradient or None,
     diagnostics)``. An ``n_probes`` or ``lanczos_steps`` that is not an

@@ -16,10 +16,10 @@ from .exceptions import DimensionMismatchError, NotPositiveDefiniteError
 PSD_RTOL = 1e-8
 
 # Largest Toeplitz order applied as a dense matrix. FFT/dense times in ms
-# on a 2-vCPU Xeon with one BLAS thread: order 256 takes 0.020/0.011 on one
-# column and 0.11/0.11 on 30; order 512 takes 0.037/0.068 and 0.31/0.61.
-# Wide blocks favour the dense product further (order 750 on 3000 columns:
-# 100/48), but factors that large are 1-D grids applied to single columns.
+# on a 2-vCPU Xeon with one BLAS thread (best of 3): order 256 takes
+# 0.025/0.013 on one column and 0.13/0.14 on 30; order 512 takes 0.034/0.066
+# and 0.25/0.61; order 750 takes 1.1/1.6 on 50 probe columns, 3.1/5.0 on
+# 200, and only on far wider blocks favours the dense product (72/58 on 3000).
 DENSE_MAX_ORDER = 256
 
 
@@ -57,6 +57,7 @@ class SymToeplitz:
         emb[:m] = c
         emb[length - m + 1:] = c[1:][::-1]
         self._len = length
+        # kept complex: dropping its imaginary rounding moves CG's counts
         self._fft = scipy.fft.rfft(emb)
 
     def matmat(self, v):
@@ -65,9 +66,9 @@ class SymToeplitz:
         v = as_operand(v, m)
         if self._dense is not None:
             return self._dense @ v
-        spec = scipy.fft.rfft(v, n=self._len, axis=0)
-        spec *= self._fft.reshape((-1,) + (1,) * (v.ndim - 1))
-        return scipy.fft.irfft(spec, n=self._len, axis=0)[:m]
+        spec = scipy.fft.rfft(v.T, n=self._len)
+        spec *= self._fft
+        return scipy.fft.irfft(spec, n=self._len)[..., :m].T
 
     matvec = matmat
 

@@ -17,7 +17,8 @@ from .grids import (InducingGrid, grid_covering_box, interpolation_weights,
                     warped_grid)
 from .kernels import (Periodic, Product, QuasiPeriodic, SquaredExponential,
                       dense_matrix)
-from .krylov import cg_solve, lanczos, rademacher_probes, slq_logdet
+from .krylov import (cg_solve, lanczos, rademacher_probes, slq_logdet,
+                     slq_probes)
 from .model import (GpComponent, GpModel, approx_nlml, build_operator,
                     exact_nlml, separate)
 from .operators import build_component
@@ -278,8 +279,8 @@ def _construction_paths():
     assert diff <= 1e-12, f"warped-grid weights disagree by {diff:.2e}"
 
 
-def _two_component(period):
-    grid = grid_covering_box([(-1.0, 1.0)], [128])
+def _two_component(period, counts=128):
+    grid = grid_covering_box([(-1.0, 1.0)], [counts])
     return GpModel([GpComponent(SquaredExponential(1.0, 0.3), Identity(), grid),
                     GpComponent(Periodic(0.7, 0.8, period), Identity(), grid)],
                    noise=0.2)
@@ -409,6 +410,23 @@ def _slq_seed_average():
             for s in range(50)]
     err = abs(np.mean(ests) - exact) / abs(exact)
     assert err < 5e-3, f"50-seed mean log-det off by {err:.2e}"
+
+
+@check("krylov.block_quadrature_matches_columns")
+def _block_quadrature():
+    rng = np.random.default_rng(24)
+    n = 300  # grids of 300 > DENSE_MAX_ORDER: each block goes through FFTs
+    op = build_operator(_two_component(0.9, 300), rng.uniform(-1.0, 1.0, n))
+    vals, vecs = np.linalg.eigh(op.dense())
+    probes = rademacher_probes(n, 6, seed=5)
+    exact = np.sum(probes * ((vecs * np.log(vals)) @ (vecs.T @ probes)), 0)
+    quads = np.array([q for *_, q in slq_probes(op.matvec, probes, 60, False)])
+    alone = [q for z in probes.T
+             for *_, q in slq_probes(op.matvec, z[:, None], 60, False)]
+    for want, tol, what in ((alone, 1e-12, "lone runs"),
+                            (exact, 1e-10, "dense z^T log(K) z")):
+        err = _rel(quads, np.array(want))
+        assert err < tol, f"block quadratures off {what} by {err:.2e}"
 
 
 # ---------------------------------------------------------------------- gp

@@ -316,6 +316,11 @@ class TestCliSmoke:
         ("numeric2d", "n", True),
         ("numeric2d", "n_probes", True),
         ("separate", "grid_per_cycle", True),
+        ("numeric2d", "seed", True),
+        ("separate", "period_jitter", True),
+        ("separate", "amplitudes", [True, 0.4]),
+        ("numeric2d", "warp_coeffs", [True]),
+        ("numeric2d", "data_box", [[False, True], [-2.5, 2.5]]),
         ("numeric2d", "data_box", [[-1.2, 0.75]]),
         ("numeric2d", "data_box", [[-1.2, 0.75], [-2.5, 2.5], [0.0, 1.0]])])
     def test_bad_scalar_in_config_exits_2(self, tmp_path, capsys, command,

@@ -147,8 +147,62 @@ class TestLanczos:
         np.testing.assert_allclose(vecs, [[1.0]], rtol=1e-15)
 
     def test_rejects_zero_start_vector(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="column 0 "):
             lanczos(lambda v: v, np.zeros(5), 3)
+
+    def test_block_names_its_zero_column(self):
+        block = np.ones((5, 3))
+        block[:, 1] = 0.0
+        with pytest.raises(ValueError, match="column 1 "):
+            lanczos(lambda v: v, block, 3, keep_basis=False)
+
+    def test_block_with_basis_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="start:"):
+            lanczos(lambda v: v, np.ones((5, 2)), 3)
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_block_matches_each_column_run_alone(self, k):
+        rng = np.random.default_rng(11)
+        n = 60
+        mat = _spd(rng, n)
+        block = rng.normal(size=(n, 4))
+        got = lanczos(lambda v: mat @ v, block, k, keep_basis=False)
+        assert got.basis is None and got.steps == k
+        assert got.alphas.shape == (k, 4) and got.betas.shape == (k - 1, 4)
+        for j, z in enumerate(block.T):
+            want = lanczos(lambda v: mat @ v, z, k)
+            np.testing.assert_allclose(got.alphas[:, j], want.alphas,
+                                       rtol=1e-10)
+            np.testing.assert_allclose(got.betas[:, j], want.betas,
+                                       rtol=1e-10)
+
+    def test_broken_down_column_freezes_beside_live_ones(self):
+        # e_0 + e_1 spans an invariant subspace of a diagonal K, so its
+        # recurrence breaks down after 2 steps; the other columns go on
+        rng = np.random.default_rng(12)
+        diag = np.linspace(1.0, 5.0, 8)
+        k = np.diag(diag)
+        block = np.column_stack([rng.normal(size=(8, 2)),
+                                 np.r_[1.0, 1.0, np.zeros(6)]])
+        got = lanczos(lambda v: k @ v, block, 6, keep_basis=False)
+        vals, vecs = got.ritz()
+        own = lanczos(lambda v: k @ v, block[:, 2], 6)
+        assert own.steps == 2
+        np.testing.assert_array_equal(got.betas[2:, 2], 0.0)
+        np.testing.assert_array_equal(got.alphas[2:, 2], got.alphas[1, 2])
+        z = block[:, 2]
+        quad = z @ z * vecs[2, 0, :] ** 2 @ np.log(vals[2])
+        assert quad == pytest.approx(z @ (np.log(diag) * z), abs=1e-12)
+        own_vals, _ = own.ritz()
+        np.testing.assert_allclose([vals[2].min(), vals[2].max()],
+                                   [own_vals.min(), own_vals.max()],
+                                   rtol=1e-12)
+        for j in range(2):
+            alone = lanczos(lambda v: k @ v, block[:, j], 6, keep_basis=False)
+            np.testing.assert_allclose(got.alphas[:, j], alone.alphas,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(got.betas[:, j], alone.betas,
+                                       rtol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_basis_free_matches_reorthogonalized_for_few_steps(self, k):

@@ -199,9 +199,9 @@ class TestApproxNlml:
         x, y = _data(150)
         approx_nlml(_two_component(), x, y, n_probes=8, lanczos_steps=10,
                     with_gradient=with_gradient)
-        assert len(alive) == 8
+        # the value path advances all probes in one call and keeps no basis
+        assert len(alive) == (8 if with_gradient else 1)
         assert max(alive) <= 1
-        # the value path keeps no basis at all
         assert len(bases) == (8 if with_gradient else 0)
 
     @pytest.mark.parametrize("field, count", [
