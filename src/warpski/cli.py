@@ -33,7 +33,9 @@ def _add_common(parser):
                             help=help_text)
 
 
-def _load_config(args, kind):
+def _load_config(args, kind, **fields):
+    """The config file, then every flag that is set, over it; ``fields``
+    maps further config fields to a subcommand's own flags."""
     data = {}
     if args.config:
         try:
@@ -48,11 +50,9 @@ def _load_config(args, kind):
     data["kind"] = kind
     for flag, _, _ in _OVERRIDE_FLAGS:
         dest = flag.lstrip("-").replace("-", "_")
-        value = getattr(args, dest)
-        if value is not None:
-            data[dest] = value
-    if args.out_dir is not None:
-        data["out_dir"] = args.out_dir
+        fields[dest] = getattr(args, dest)
+    fields["out_dir"] = args.out_dir
+    data.update((k, v) for k, v in fields.items() if v is not None)
     return ExperimentConfig.from_dict(data)
 
 
@@ -68,13 +68,9 @@ def _cmd_numeric2d(args):
 
 
 def _cmd_separate(args):
-    config = _load_config(args, "separation1d")
-    if args.maternal_events:
-        config.maternal_events_csv = args.maternal_events
-    if args.fetal_events:
-        config.fetal_events_csv = args.fetal_events
-    if args.data:
-        config.data_csv = args.data
+    config = _load_config(args, "separation1d", data_csv=args.data,
+                          maternal_events_csv=args.maternal_events,
+                          fetal_events_csv=args.fetal_events)
     _print_report(run_separation1d(config))
     return 0
 
@@ -106,6 +102,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_validate(args):
+    if args.list:
+        print("\n".join(check_names()))
+        return 0
     names = args.checks.split(",") if args.checks else None
     return 1 if run_validation(names) else 0
 
@@ -126,7 +125,8 @@ def build_parser():
                        help="two-source quasi-periodic separation")
     _add_common(p)
     p.add_argument("--data", help="CSV with 'time' and 'value' columns "
-                                  "(default: synthesize a mixture)")
+                                  "(default: synthesize a mixture); needs "
+                                  "both event CSVs")
     p.add_argument("--maternal-events", help="CSV of event times (seconds)")
     p.add_argument("--fetal-events", help="CSV of event times (seconds)")
     p.set_defaults(fn=_cmd_separate)
@@ -152,10 +152,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "list", False):
-        for name in check_names():
-            print(name)
-        return 0
     try:
         return args.fn(args)
     except WarpskiError as err:

@@ -118,6 +118,10 @@ class ExperimentConfig:
                     for c in counts):
                 raise ConfigError(f"{name}: need 2 per-axis integer counts, "
                                   f"each >= {MIN_AXIS_COUNT}")
+        for name in ("maternal_events_csv", "fetal_events_csv"):
+            if self.data_csv and not getattr(self, name):
+                raise ConfigError(f"{name}: data_csv needs the events of both "
+                                  "sources; random beats would not match it")
 
     @classmethod
     def from_dict(cls, data):
@@ -302,9 +306,10 @@ def run_separation1d(config):
     """Fit and separate a two-source quasi-periodic mixture.
 
     With ``data_csv`` the series is loaded first and its time column,
-    which must be strictly increasing, sets the span of the grids and of
-    any synthetic events; otherwise ``n`` samples at spacing ``dt`` are
-    drawn from the prior.
+    which must be strictly increasing, sets the span of the grids, and
+    both warps come from the event CSVs; otherwise ``n`` samples at
+    spacing ``dt`` are drawn from the prior, and a source without an
+    event CSV gets synthetic events.
     """
     from .csvio import load_events_csv, load_series_csv
 
@@ -329,8 +334,8 @@ def run_separation1d(config):
                           config.maternal_period / config.period_ratio)):
         path = getattr(config, name)
         if not path:
-            events = t_start + _synthetic_events(
-                rng, t_end - t_start, period, config.period_jitter)
+            events = _synthetic_events(rng, t_end, period,
+                                       config.period_jitter)
         elif (events := load_events_csv(path)).size < 2:
             raise ConfigError(f"{name}: need at least 2 events, got "
                               f"{events.size}")

@@ -107,80 +107,74 @@ class LanczosFactor:
 def lanczos(apply, start, k, keep_basis=True):
     """Lanczos tridiagonalization of ``apply`` from ``start``.
 
-    With ``keep_basis``, from one vector, the basis is stored row-major,
-    carried as ``(n, steps)``, and each new vector is reorthogonalized
-    against it in one Gram-Schmidt pass, and in a second if the first left
-    under 1/sqrt(2) of its norm (Daniel, Gragg, Kaufman & Stewart, Math.
-    Comp. 1976). Without, only the three-term recurrence runs, on every
-    column of an ``(n, p)`` ``start`` at once, one ``apply`` per step (a
-    vector is applied as an ``(n, 1)`` block): T then loses the
-    orthogonality of exact arithmetic (repeated Ritz values), but its Gauss
-    quadrature e_1^T f(T) e_1 stays accurate in finite precision (Meurant
-    & Strakos, Acta Numerica 2006). The last step stops after its alpha.
-    Breakdown (beta <= 1e-12 |alpha_0|) signals an invariant subspace: it
-    ends a run with a basis, and freezes a block column (later alphas
-    repeat its last, later betas are 0), so its T keeps its quadrature and
-    Ritz extremes. A block with ``keep_basis`` raises ``ConfigError``, and
-    a zero column ``ValueError``.
+    One three-term recurrence runs on every column of an ``(n, p)`` start
+    at once, one ``apply`` per step on an operand shaped like ``start``
+    (``(n,)`` for a vector). The last step stops after its alpha. A column
+    whose beta falls to 1e-12 |alpha_0| or below has reached an invariant
+    subspace and freezes: its later alphas repeat its last, its later
+    betas are 0, so its T keeps its quadrature and Ritz extremes. The run
+    ends, truncated to its steps, once no column is live.
+
+    Without ``keep_basis``, T loses the orthogonality of exact arithmetic
+    (repeated Ritz values), but its Gauss quadrature e_1^T f(T) e_1 stays
+    accurate in finite precision (Meurant & Strakos, Acta Numerica 2006).
+    With it, from one vector, the basis is stored row-major, returned as
+    ``(n, steps)``, and each new vector is reorthogonalized against it in
+    one Gram-Schmidt pass, and in a second if the first left under
+    1/sqrt(2) of its norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp.
+    1976). A block with ``keep_basis`` or a k below 1 raises
+    ``ConfigError``, and a zero column ``ValueError``.
     """
     v = np.asarray(start, dtype=float)
-    zero = np.flatnonzero(~v.reshape(len(v), -1).any(axis=0))
+    q = v.reshape(len(v), -1)
+    zero = np.flatnonzero(~q.any(axis=0))
     if zero.size:
         raise ValueError(f"start column {zero[0]} must be nonzero")
-    k = min(int(k), len(v))
-    if not keep_basis:
-        return _recurrence(apply, v, k)
-    if v.ndim != 1:
+    if keep_basis and v.ndim != 1:
         raise ConfigError(f"start: one basis is kept at a time, so the start "
                           f"must be one vector, got shape {v.shape}")
-    basis = np.zeros((k, v.size))
-    alphas, betas = [], []
-    q = v / np.linalg.norm(v)
-    for j in range(k):
-        w = apply(q)
-        alphas.append(q @ w)
-        basis[j] = q
-        if j == k - 1:
-            break
-        w = w - alphas[j] * q
-        if betas:
-            w -= betas[-1] * basis[j - 1]
-        beta = np.linalg.norm(w)
-        for _ in range(2):
-            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
-            beta, before = np.linalg.norm(w), beta
-            if beta >= before / np.sqrt(2.0):
-                break
-        if beta <= 1e-12 * max(abs(alphas[0]), 1e-300):
-            break
-        betas.append(beta)
-        q = w / beta
-    steps = len(alphas)
-    return LanczosFactor(np.array(alphas), np.array(betas),
-                         basis[:steps].T, steps)
-
-
-def _recurrence(apply, v, k):
-    """k basis-free steps on every column of ``v``, in a factor shaped
-    like ``v``: ``(k, p)`` alphas for ``(n, p)``, ``(k,)`` for ``(n,)``."""
-    q = v.reshape(len(v), -1)
-    q = q / np.linalg.norm(q, axis=0)
+    if k < 1:
+        raise ConfigError(f"k: need at least one step, got {k}")
+    k = min(int(k), len(v))
+    q = q / np.sqrt(_column_dots(q, q))
     alphas, betas = np.zeros((k, q.shape[1])), np.zeros((k - 1, q.shape[1]))
+    basis = np.zeros((k, len(v))) if keep_basis else None
     live = np.ones(q.shape[1], dtype=bool)
     for j in range(k):
-        w = apply(q)
-        alphas[j] = np.where(live, np.einsum("ij,ij->j", q, w), alphas[j - 1])
+        w = apply(q.reshape(v.shape)).reshape(q.shape)
+        alphas[j] = np.where(live, _column_dots(q, w), alphas[j - 1])
+        if keep_basis:
+            basis[j] = q[:, 0]
         if j == k - 1:
             break
         w = w - alphas[j] * q
         if j:
             w -= betas[j - 1] * q_prev
-        beta = np.linalg.norm(w, axis=0)
-        live &= beta > 1e-12 * np.maximum(np.abs(alphas[0]), 1e-300)
+        beta = np.sqrt(_column_dots(w, w))
+        for _ in range(2 if keep_basis else 0):
+            w[:, 0] -= (basis[:j + 1] @ w[:, 0]) @ basis[:j + 1]
+            beta, before = np.sqrt(_column_dots(w, w)), beta
+            if beta >= before / np.sqrt(2.0):
+                break
+        if not j:
+            floor = 1e-12 * np.maximum(np.abs(alphas[0]), 1e-300)
+        live &= beta > floor
+        if not live.any():
+            break
         betas[j] = np.where(live, beta, 0.0)
-        q_prev, q = q, np.divide(w, beta, out=np.zeros_like(w), where=live)
-    return LanczosFactor(alphas.reshape((k,) + v.shape[1:]),
-                         betas.reshape((k - 1,) + v.shape[1:]), None, k)
+        w /= np.where(live, beta, np.inf)
+        q_prev, q = q, w
+    steps = j + 1
+    return LanczosFactor(
+        alphas[:steps].reshape((steps,) + v.shape[1:]),
+        betas[:steps - 1].reshape((steps - 1,) + v.shape[1:]),
+        None if basis is None else basis[:steps].T, steps)
+
+
+def _column_dots(x, y):
+    """``x[:, j] @ y[:, j]`` per column: a BLAS dot for one column, one
+    einsum for a block, where a strided dot per column is slower."""
+    return (x.T @ y)[0] if x.shape[1] == 1 else np.einsum("ij,ij->j", x, y)
 
 
 def slq_probes(apply, probes, k, keep_basis=True):

@@ -543,7 +543,9 @@ def _cli_deterministic():
 def run_validation(names=None, out=print):
     """Run the named checks (all by default); return the number of failures.
 
-    Prints one ``PASS``/``FAIL`` line per check with wall time.
+    Prints one ``PASS``/``FAIL`` line per check with wall time; a check
+    that raises anything but an ``AssertionError`` fails with the error's
+    type named, and the checks after it still run.
     """
     failures = 0
     selected = [(n, f) for n, f in _CHECKS
@@ -554,9 +556,11 @@ def run_validation(names=None, out=print):
         t0 = time.perf_counter()
         try:
             fn()
-        except AssertionError as err:
+        except Exception as err:
             failures += 1
-            out(f"FAIL {name} ({time.perf_counter() - t0:.1f}s): {err}")
+            kind = ("" if isinstance(err, AssertionError)
+                    else f"{type(err).__name__}: ")
+            out(f"FAIL {name} ({time.perf_counter() - t0:.1f}s): {kind}{err}")
         else:
             out(f"PASS {name} ({time.perf_counter() - t0:.1f}s)")
     out(f"{len(selected) - failures}/{len(selected)} checks passed")

@@ -9,7 +9,9 @@ from warpski.serialize import (grid_from_dict, grid_to_dict, kernel_from_dict,
                                kernel_to_dict, model_from_json, model_to_json,
                                warp_from_dict, warp_to_dict)
 from warpski.csvio import load_events_csv, load_series_csv, save_columns_csv
-from warpski.exceptions import ConfigError, CsvFormatError
+from warpski import validate
+from warpski.exceptions import (ConfigError, CsvFormatError,
+                                NotPositiveDefiniteError)
 from warpski.experiments import ExperimentConfig, separation_model
 from warpski.grids import (InducingGrid, grid_covering_box,
                            interpolation_weights, warped_grid)
@@ -293,6 +295,20 @@ class TestCliSmoke:
         assert main(["validate", "--list"]) == 0
         assert "kernels.stationary_symmetry" in capsys.readouterr().out
 
+    def test_validate_goes_on_after_a_raising_check(self, monkeypatch):
+        def breaks():
+            raise NotPositiveDefiniteError("nonpositive Ritz value")
+
+        monkeypatch.setattr(validate, "_CHECKS",
+                            [("a.breaks", breaks), ("b.holds", lambda: None)])
+        lines = []
+        assert validate.run_validation(out=lines.append) == 1
+        assert lines[0].startswith("FAIL a.breaks (")
+        assert lines[0].endswith(
+            "s): NotPositiveDefiniteError: nonpositive Ritz value")
+        assert lines[1].startswith("PASS b.holds (")
+        assert lines[2] == "1/2 checks passed"
+
     def test_bad_config_reports_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"not_a_field\": 1}")
@@ -403,16 +419,30 @@ class TestCliSmoke:
         cols = load_series_csv(str(out / "separated" / "sources.csv"))
         assert {"time", "y", "mean_maternal", "mean_fetal"} <= set(cols)
 
+    @staticmethod
+    def _event_flags(tmp_path, lo, hi):
+        """Event CSVs for both sources, beating over [lo, hi]."""
+        flags = []
+        for flag, period in (("--maternal-events", 0.85),
+                             ("--fetal-events", 0.85 / 2.8)):
+            path = tmp_path / f"{flag.strip('-')}.csv"
+            save_columns_csv(str(path),
+                             {"time": np.arange(lo - period, hi + period,
+                                                period)})
+            flags += [flag, str(path)]
+        return flags
+
     def test_separate_sizes_from_data(self, tmp_path, capsys):
         # a 10 s series starting before 0, far longer than the configured
         # n * dt = 0.4 s
         t = np.linspace(-2.0, 8.0, 400)
         data = tmp_path / "series.csv"
         save_columns_csv(str(data), {"time": t, "value": np.sin(7.4 * t)})
+        events = self._event_flags(tmp_path, -2.0, 8.0)
         out = tmp_path / "sep"
         code = main(["separate", "--data", str(data), "--n", "200",
                      "--max-steps", "1", "--n-probes", "2",
-                     "--out", str(out)])
+                     "--out", str(out), *events])
         captured = capsys.readouterr()
         assert code == 0, captured.err
         assert "n: 400" in captured.out.splitlines()
@@ -422,24 +452,28 @@ class TestCliSmoke:
 
         data.write_text("time,value\n0.0,1.0\n0.5,2.0\n0.4,0.0\n")
         assert main(["separate", "--data", str(data), "--max-steps", "1",
-                     "--n-probes", "2"]) == 2
+                     "--n-probes", "2", *events]) == 2
         assert "strictly increasing" in capsys.readouterr().err
 
         data.write_text("t,value\n0.0,1.0\n0.5,2.0\n")
         assert main(["separate", "--data", str(data), "--max-steps", "1",
-                     "--n-probes", "2"]) == 2
+                     "--n-probes", "2", *events]) == 2
         assert "'time' and 'value'" in capsys.readouterr().err
 
-    def test_separate_data_before_the_first_period(self, tmp_path, capsys):
-        # synthetic events cover the series span wherever it starts
+    @pytest.mark.parametrize("keep, missing", [
+        (slice(0, 0), "maternal_events_csv"),
+        (slice(0, 2), "fetal_events_csv"),
+        (slice(2, 4), "maternal_events_csv")])
+    def test_separate_data_without_both_event_files_exits_2(
+            self, tmp_path, capsys, keep, missing):
+        # random beats unrelated to the data would set both warps
         t = np.linspace(-10.0, -5.0, 300)
         data = tmp_path / "series.csv"
         save_columns_csv(str(data), {"time": t, "value": np.sin(7.4 * t)})
-        code = main(["separate", "--data", str(data), "--max-steps", "1",
-                     "--n-probes", "2"])
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        assert "n: 300" in captured.out.splitlines()
+        events = self._event_flags(tmp_path, -10.0, -5.0)[keep]
+        assert main(["separate", "--data", str(data), "--max-steps", "1",
+                     "--n-probes", "2", *events]) == 2
+        assert f"error: {missing}: data_csv needs" in capsys.readouterr().err
 
     @staticmethod
     def _small_config(tmp_path):

@@ -160,6 +160,11 @@ class TestLanczos:
         with pytest.raises(ConfigError, match="start:"):
             lanczos(lambda v: v, np.ones((5, 2)), 3)
 
+    @pytest.mark.parametrize("keep_basis", [True, False])
+    def test_no_steps_is_a_config_error(self, keep_basis):
+        with pytest.raises(ConfigError, match="k: need at least one step"):
+            lanczos(lambda v: v, np.ones(5), 0, keep_basis=keep_basis)
+
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_block_matches_each_column_run_alone(self, k):
         rng = np.random.default_rng(11)
@@ -204,17 +209,45 @@ class TestLanczos:
             np.testing.assert_allclose(got.betas[:, j], alone.betas,
                                        rtol=1e-12)
 
+    def test_block_ends_once_every_column_breaks_down(self):
+        # each column spans an invariant subspace of a diagonal K, of
+        # dimension 2 and 3, so the run ends after 3 steps
+        diag = np.linspace(1.0, 5.0, 8)
+        block = np.zeros((8, 2))
+        block[:2, 0] = [1.0, -2.0]
+        block[2:5, 1] = [0.5, 1.0, 3.0]
+        got = lanczos(lambda v: diag[:, None] * v, block, 6, keep_basis=False)
+        assert got.steps == 3
+        assert got.alphas.shape == (3, 2) and got.betas.shape == (2, 2)
+        assert got.betas[1, 0] == 0.0 and got.alphas[2, 0] == got.alphas[1, 0]
+        vals, vecs = got.ritz()
+        for j, z in enumerate(block.T):
+            quad = z @ z * vecs[j, 0, :] ** 2 @ np.log(vals[j])
+            assert quad == pytest.approx(z @ (np.log(diag) * z), abs=1e-12)
+
+    @pytest.mark.parametrize("keep_basis", [True, False])
+    def test_identity_stops_after_one_step(self, keep_basis):
+        start = np.arange(1.0, 6.0)
+        f = lanczos(lambda v: v, start, 3, keep_basis=keep_basis)
+        assert f.steps == 1 and f.betas.shape == (0,)
+        np.testing.assert_allclose(f.alphas, [1.0], rtol=1e-15)
+        np.testing.assert_array_equal(start, np.arange(1.0, 6.0))
+
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_basis_free_matches_reorthogonalized_for_few_steps(self, k):
+        # an elementwise apply sees (n,) on both paths, as it does in CG
         rng = np.random.default_rng(9)
         n = 60
         mat = _spd(rng, n)
+        d = np.linspace(1.0, 4.0, n)
         z = rng.normal(size=n)
-        full = lanczos(lambda v: mat @ v, z, k)
-        free = lanczos(lambda v: mat @ v, z, k, keep_basis=False)
-        assert free.basis is None and free.steps == full.steps == k
-        np.testing.assert_allclose(free.alphas, full.alphas, rtol=1e-10)
-        np.testing.assert_allclose(free.betas, full.betas, rtol=1e-10)
+        for apply in (lambda v: mat @ v, lambda v: d * v):
+            full = lanczos(apply, z, k)
+            free = lanczos(apply, z, k, keep_basis=False)
+            assert free.basis is None and free.steps == full.steps == k
+            assert free.alphas.shape == (k,)
+            np.testing.assert_allclose(free.alphas, full.alphas, rtol=1e-10)
+            np.testing.assert_allclose(free.betas, full.betas, rtol=1e-10)
 
     def test_basis_free_quadrature_holds_at_many_steps(self):
         # orthogonality is lost long before step 150 (the reorthogonalized
