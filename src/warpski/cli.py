@@ -23,19 +23,20 @@ _OVERRIDE_FLAGS = [
 ]
 
 
-def _add_common(parser):
+def _add_common(parser, unread=()):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", dest="out_dir", metavar="DIR",
                         help="directory for report.csv and curve CSVs")
     for flag, typ, help_text in _OVERRIDE_FLAGS:
-        dest = flag.lstrip("-").replace("-", "_")
-        parser.add_argument(flag, dest=dest, type=typ, default=None,
-                            help=help_text)
+        if flag not in unread:
+            parser.add_argument(flag, dest=flag.lstrip("-").replace("-", "_"),
+                                type=typ, default=None, help=help_text)
 
 
 def _load_config(args, kind, **fields):
     """The config file, then every flag that is set, over it; ``fields``
-    maps further config fields to a subcommand's own flags."""
+    maps further config fields to a subcommand's own flags. A file with
+    another ``kind`` raises ``ConfigError``."""
     data = {}
     if args.config:
         try:
@@ -47,10 +48,11 @@ def _load_config(args, kind, **fields):
             raise ConfigError(f"{args.config}: invalid JSON: {err}")
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
-    data["kind"] = kind
+    if data.setdefault("kind", kind) != kind:
+        raise ConfigError(f"kind: config is {data['kind']!r}, not {kind!r}")
     for flag, _, _ in _OVERRIDE_FLAGS:
         dest = flag.lstrip("-").replace("-", "_")
-        fields[dest] = getattr(args, dest)
+        fields[dest] = getattr(args, dest, None)
     fields["out_dir"] = args.out_dir
     data.update((k, v) for k, v in fields.items() if v is not None)
     return ExperimentConfig.from_dict(data)
@@ -118,7 +120,7 @@ def build_parser():
 
     p = sub.add_parser("numeric2d",
                        help="2-D warped-SE benchmark: sample, learn, infer")
-    _add_common(p)
+    _add_common(p, unread=("--cg-tol-separation",))
     p.set_defaults(fn=_cmd_numeric2d)
 
     p = sub.add_parser("separate",
@@ -132,7 +134,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_separate)
 
     p = sub.add_parser("sweep", help="timing curves over n and grid size")
-    _add_common(p)
+    _add_common(p, unread=("--max-steps", "--cg-tol-separation"))
     p.add_argument("--n-values", default="1000,2000,4000,8000",
                    help="comma-separated data sizes")
     p.add_argument("--m-counts", default="32x32,45x45,64x64,90x90",

@@ -295,7 +295,7 @@ def fit(model, x, y, max_steps=100, seed=0, n_probes=20, cg_tol=1e-2,
         return FitResult(model=model, value=np.nan, trace=[],
                          n_evaluations=0, flag="no_free_parameters")
     theta0 = model.theta
-    state = {"best": None, "evals": 0, "trace": [], "cg_unconverged": 0}
+    state = {"evals": 0, "trace": [], "cg_unconverged": 0}
 
     def objective_fn(free_theta):
         theta = theta0.copy()
@@ -314,23 +314,17 @@ def fit(model, x, y, max_steps=100, seed=0, n_probes=20, cg_tol=1e-2,
         if not np.isfinite(value):
             return 1e30, np.zeros(free.size)
         state["trace"].append((theta.copy(), float(value)))
-        if state["best"] is None or value < state["best"][0]:
-            state["best"] = (value, theta.copy())
         return value, grad[free]
 
     result = scipy.optimize.minimize(
         objective_fn, theta0[free], jac=True, method="L-BFGS-B",
         options={"maxiter": max_steps})
-    if state["best"] is None:
+    if not state["trace"]:
         return FitResult(model=model, value=np.nan, trace=state["trace"],
                          n_evaluations=state["evals"],
                          flag="no_finite_evaluation",
                          cg_unconverged=state["cg_unconverged"])
-    best_value, best_theta = state["best"]
-    if result.fun <= best_value:
-        best_value = float(result.fun)
-        best_theta = theta0.copy()
-        best_theta[free] = result.x
+    best_theta, best_value = min(state["trace"], key=lambda rec: rec[1])
     flag = "converged" if result.success else f"stopped: {result.message}"
     return FitResult(model=model.with_theta(best_theta), value=best_value,
                      trace=state["trace"], n_evaluations=state["evals"],

@@ -47,7 +47,7 @@ def _kernel_symmetry():
     tau = rng.normal(size=200)
     for k in (SquaredExponential(1.3, 0.7), Periodic(0.9, 1.1, 2.3),
               QuasiPeriodic(1.2, 5.0, 0.6, 2.0)):
-        assert np.allclose(k.eval(tau), k.eval(-tau), rtol=0, atol=1e-15), \
+        assert np.array_equal(k.eval(tau), k.eval(-tau)), \
             f"{type(k).__name__} is not an even function of the lag"
 
 
@@ -56,8 +56,9 @@ def _kernel_grad_fd():
     rng = np.random.default_rng(1)
     tau = rng.normal(size=50)
     eps = 1e-6
-    for k in (SquaredExponential(1.3, 0.7), Periodic(0.9, 1.1, 2.3),
-              QuasiPeriodic(1.2, 5.0, 0.6, 2.0)):
+    for k, rtol, atol in ((SquaredExponential(1.3, 0.7), 1e-7, 1e-10),
+                          (Periodic(0.9, 1.1, 2.3), 1e-6, 1e-10),
+                          (QuasiPeriodic(1.2, 5.0, 0.6, 2.0), 1e-6, 1e-8)):
         g = k.grad(tau)
         for p in range(k.n_params):
             lp = k.log_params.copy()
@@ -67,7 +68,7 @@ def _kernel_grad_fd():
             dn = k.with_log_params(lp).eval(tau)
             fd = (up - dn) / (2 * eps)
             err = _rel(g[p], fd)
-            assert err < 1e-7, (
+            assert err < 1e-7 and np.allclose(g[p], fd, rtol, atol), (
                 f"{type(k).__name__} param {p}: gradient vs FD rel err {err:.2e}")
 
 
@@ -80,7 +81,7 @@ def _kernel_separability():
     full = dense_matrix(k, x)
     f0 = dense_matrix(k.children[0], x[:, 0])
     f1 = dense_matrix(k.children[1], x[:, 1])
-    assert np.allclose(full, f0 * f1, rtol=1e-13, atol=1e-15), \
+    assert np.allclose(full, f0 * f1, rtol=1e-13, atol=0), \
         "product kernel does not factor across dimensions"
 
 
@@ -91,7 +92,7 @@ def _kernel_qp_structure():
     env = SquaredExponential(1.2, 5.0)
     per = Periodic(1.0, 0.6, 2.0)
     assert np.allclose(k.eval(tau), env.eval(tau) * per.eval(tau),
-                       rtol=1e-13, atol=1e-15), \
+                       rtol=1e-14, atol=0), \
         "quasi-periodic kernel is not envelope * periodic"
 
 
@@ -119,7 +120,7 @@ def _warp_monotone():
     rng = np.random.default_rng(4)
     events = np.cumsum(rng.uniform(0.7, 1.0, 30))
     phase = phase_from_events(events)
-    t = np.linspace(events[0] - 1.0, events[-1] + 1.0, 2000)
+    t = np.linspace(events[0] - 3.0, events[-1] + 3.0, 2000)
     assert np.all(np.diff(phase.forward(t)) > 0), "phase warp not increasing"
 
 
@@ -130,7 +131,7 @@ def _warp_phase_lattice():
     phase = phase_from_events(events)
     got = phase.forward(events)
     want = 2.0 * np.pi * np.arange(events.size)
-    assert np.allclose(got, want, rtol=0, atol=1e-9), \
+    assert np.allclose(got, want, rtol=0, atol=1e-12), \
         "event phases are not on the 2*pi lattice"
 
 
@@ -201,20 +202,23 @@ def _toeplitz_vs_dense():
         col = rng.normal(size=m)
         op = SymToeplitz(col)
         v = rng.normal(size=m)
-        dense = scipy.linalg.toeplitz(col)
-        err = _rel(op.matvec(v), dense @ v)
-        assert err < 1e-12, f"m={m}: Toeplitz MVM rel err {err:.2e}"
+        got, want = op.matvec(v), scipy.linalg.toeplitz(col) @ v
+        err = _rel(got, want)
+        assert err < 1e-12 and np.allclose(got, want, 1e-12, 1e-12), \
+            f"m={m}: Toeplitz MVM rel err {err:.2e}"
 
 
 @check("structured.kronecker_matvec_matches_dense")
 def _kron_vs_dense():
     rng = np.random.default_rng(10)
-    for shapes in ((7,), (5, 6), (3, 4, 5)):
+    for shapes in ((7,), (5, 6), (3, 4, 5), (6, 6)):
         factors = [SymToeplitz(rng.normal(size=m)) for m in shapes]
         op = KronOperator(factors)
         v = rng.normal(size=int(np.prod(shapes)))
-        err = _rel(op.matvec(v), op.dense() @ v)
-        assert err < 1e-12, f"shapes {shapes}: Kronecker MVM rel err {err:.2e}"
+        got, want = op.matvec(v), op.dense() @ v
+        err = _rel(got, want)
+        assert err < 1e-12 and np.allclose(got, want, 1e-12, 1e-12), \
+            f"shapes {shapes}: Kronecker MVM rel err {err:.2e}"
 
 
 @check("structured.operators_are_symmetric")
@@ -364,7 +368,7 @@ def _cg_monotone():
         e = rep.x - x_star
         energies.append(float(e @ k @ e))
     diffs = np.diff(energies)
-    assert np.all(diffs <= 1e-10 * energies[0]), \
+    assert np.all(diffs <= 1e-12 * energies[0]), \
         "CG energy-norm error is not monotonically decreasing"
 
 

@@ -301,6 +301,8 @@ def test_ac10_validation_suite_green():
     elapsed = time.perf_counter() - t0
     for line in lines:
         print(f"  {line}")
+    failed = [line for line in lines if line.startswith("FAIL ")]
     _report("AC10 validation suite",
             failures == 0 and elapsed <= 900.0,
-            f"{lines[-1]}, wall time {elapsed:.0f}s (<= 900s)")
+            "; ".join([lines[-1], *failed])
+            + f", wall time {elapsed:.0f}s (<= 900s)")

@@ -358,6 +358,19 @@ class TestCliSmoke:
         err = capsys.readouterr().err
         assert str(path) in err and message in err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("numeric2d", "--cg-tol-separation"), ("sweep", "--max-steps"),
+        ("sweep", "--cg-tol-separation")])
+    def test_flag_the_subcommand_never_reads_exits_2(self, command, flag):
+        with pytest.raises(SystemExit, match="^2$"):
+            main([command, flag, "1"])
+
+    def test_config_of_another_kind_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config_echo.json"
+        path.write_text(json.dumps({"kind": "separation1d", "n": 50}))
+        assert main(["numeric2d", "--config", str(path)]) == 2
+        assert "kind: config is 'separation1d'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, field", [
         ("--maternal-events", "maternal_events_csv"),
         ("--fetal-events", "fetal_events_csv")])

@@ -7,7 +7,7 @@ from warpski.exceptions import (DimensionMismatchError, GridError,
                                 InterpolationRegionError)
 from warpski.grids import (InducingGrid, grid_covering_box,
                            interpolation_weights, warped_grid)
-from warpski.kernels import Product, SquaredExponential, dense_matrix
+from warpski.kernels import Product, SquaredExponential
 from warpski.operators import build_component
 from warpski.serialize import grid_from_dict
 from warpski.warping import ElementwiseWarp, Identity, Polynomial1D
@@ -68,22 +68,6 @@ class TestGridCoveringBox:
 
 
 class TestInterpolationWeights:
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        g = grid_covering_box([(-1.0, 1.0)], [64])
-        w = interpolation_weights(g, rng.uniform(-1, 1, 500))
-        sums = np.asarray(w.matrix.sum(axis=1)).ravel()
-        np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("d,counts", [(1, (32,)), (2, (12, 14)),
-                                          (3, (9, 10, 8))])
-    def test_four_to_the_d_nonzeros_per_row(self, d, counts):
-        rng = np.random.default_rng(1)
-        g = grid_covering_box([(-1.0, 1.0)] * d, counts)
-        pts = rng.uniform(-1, 1, size=(100, d))
-        w = interpolation_weights(g, pts if d > 1 else pts[:, 0])
-        np.testing.assert_array_equal(np.diff(w.matrix.indptr), 4 ** d)
-
     def test_midpoint_weights_match_closed_form(self):
         g = InducingGrid([(0.0, 7.0)], [8])
         w = interpolation_weights(g, np.array([2.5])).dense().ravel()
@@ -98,15 +82,6 @@ class TestInterpolationWeights:
         want[0, 3] = 1.0
         want[1, 5] = 1.0
         np.testing.assert_allclose(w, want, rtol=0, atol=1e-14)
-
-    def test_quadratic_reproduction_on_uniform_grid(self):
-        rng = np.random.default_rng(2)
-        g = grid_covering_box([(-1.0, 1.0)], [64])
-        pts = rng.uniform(-1, 1, 300)
-        w = interpolation_weights(g, pts)
-        f = lambda t: 0.3 * t ** 2 - t + 0.7
-        np.testing.assert_allclose(w.matvec(f(g.axes[0])), f(pts),
-                                   rtol=0, atol=1e-11)
 
     def test_points_outside_safe_region_raise(self):
         g = InducingGrid([(0.0, 1.0)], [16])
@@ -148,20 +123,6 @@ class TestInterpolationWeights:
         np.testing.assert_allclose(w2, rowwise, rtol=0, atol=1e-14)
 
 
-class TestSkiAccuracy:
-    def test_ski_approximates_dense_kernel(self):
-        rng = np.random.default_rng(6)
-        x = rng.uniform(-1, 1, 200)
-        kernel = SquaredExponential(1.2, 0.35)
-        g = grid_covering_box([(-1.0, 1.0)], [512])
-        w = interpolation_weights(g, x)
-        kuu = dense_matrix(kernel, g.axes[0])
-        ski = w.dense() @ kuu @ w.dense().T
-        exact = dense_matrix(kernel, x)
-        err = np.linalg.norm(ski - exact) / np.linalg.norm(exact)
-        assert err < 1e-4
-
-
 def _poly_lattice(poly, count):
     """Equispaced lattice over the warp's image of [-1.4, 0.9]."""
     return InducingGrid([(poly.forward(-1.4), poly.forward(0.9))], [count])
@@ -184,17 +145,6 @@ class TestWarpedGrid:
             InducingGrid([(-1.0, 1.0)], [16], axis_warps=[flip])
         with pytest.raises(DimensionMismatchError, match="one warp per axis"):
             InducingGrid([(-1.0, 1.0)], [16], axis_warps=[flip, flip])
-
-    def test_warped_weights_match_warp_then_interpolate(self):
-        rng = np.random.default_rng(7)
-        poly = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.5, 1.0))
-        g = _poly_lattice(poly, 64)
-        uhat = warped_grid(g, poly)
-        x = rng.uniform(-1.0, 0.8, 150)
-        w_raw = interpolation_weights(uhat, x)
-        w_warped = interpolation_weights(g, np.asarray(poly.forward(x)))
-        diff = abs(w_raw.matrix - w_warped.matrix).max()
-        assert diff <= 1e-12
 
     def test_2d_warped_weights_match_warp_then_interpolate(self):
         # the ElementwiseWarp branch of warped_grid, against the weights

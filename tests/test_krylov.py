@@ -71,30 +71,6 @@ class TestCgSolve:
         assert rep.iterations == 2
         assert len(calls) <= 4
 
-    def test_energy_norm_error_decreases_monotonically(self):
-        rng = np.random.default_rng(3)
-        n = 70
-        k = _spd(rng, n)
-        y = rng.normal(size=n)
-        x_star = np.linalg.solve(k, y)
-        prev = np.inf
-        for it in range(1, 25):
-            e = cg_solve(lambda v: k @ v, y, tol=0.0, max_iter=it).x - x_star
-            energy = float(e @ k @ e)
-            assert energy <= prev + 1e-12
-            prev = energy
-
-
-class TestRademacherProbes:
-    def test_same_seed_reproduces(self):
-        a = rademacher_probes(50, 8, seed=7)
-        b = rademacher_probes(50, 8, seed=7)
-        np.testing.assert_array_equal(a, b)
-
-    def test_entries_are_rademacher(self):
-        v = rademacher_probes(200, 4, seed=0)
-        assert set(np.unique(v)) == {-1.0, 1.0}
-
 
 class TestLanczos:
     def test_reproduces_operator_on_krylov_subspace(self):

@@ -474,14 +474,6 @@ class TestFit:
 
 
 class TestSeparate:
-    def test_components_plus_noise_reconstruct_data(self):
-        m = _two_component()
-        x, y = _data(250)
-        sep = separate(m, x, y, cg_tol=1e-10)
-        recon = sum(sep.means) + m.noise_variance * sep.alpha
-        np.testing.assert_allclose(recon, y, rtol=0,
-                                   atol=1e-8 * np.linalg.norm(y))
-
     def test_matches_dense_oracle(self):
         m = _two_component(counts=512)
         x, y = _data(300)

@@ -71,6 +71,7 @@ def test_toeplitz_block_equals_stacked_columns(m, p, seed):
 
 @FAST
 @given(m=orders, p=columns, seed=seeds)
+@example(m=1, p=1, seed=0)
 @example(m=DENSE_MAX_ORDER, p=1, seed=0)
 @example(m=DENSE_MAX_ORDER + 1, p=1, seed=0)
 def test_toeplitz_matches_scipy_toeplitz(m, p, seed):

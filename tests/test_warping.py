@@ -22,13 +22,6 @@ class TestPolynomial1D:
         x = np.array([0.0, 0.5, -1.0])
         np.testing.assert_allclose(w.forward(x), 2 * x ** 3 + x, rtol=1e-15)
 
-    def test_inverse_roundtrip_to_tight_tolerance(self):
-        rng = np.random.default_rng(0)
-        w = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.5, 1.0))
-        x = rng.uniform(-1.5, 1.0, 1000)
-        back = w.inverse(w.forward(x))
-        np.testing.assert_allclose(back, x, rtol=0, atol=1e-10)
-
     def test_scalar_inverse_returns_scalar(self):
         w = Polynomial1D([2.0, 0.0, 1.0], domain=(-1.5, 1.0))
         out = w.inverse(w.forward(0.3))
@@ -79,14 +72,6 @@ class TestPiecewiseLinearPhase:
         assert w.forward(-1.0) == pytest.approx(-2.0)   # slope 2 on the left
         assert w.forward(5.0) == pytest.approx(4.0)     # slope 0.5 on the right
 
-    def test_inverse_roundtrip_including_extrapolation(self):
-        rng = np.random.default_rng(1)
-        knots = np.cumsum(rng.uniform(0.5, 1.5, 12))
-        w = PiecewiseLinearPhase(knots, np.linspace(0, 30, 12))
-        t = rng.uniform(knots[0] - 2, knots[-1] + 2, 400)
-        np.testing.assert_allclose(w.inverse(w.forward(t)), t,
-                                   rtol=0, atol=1e-10)
-
     def test_rejects_non_monotone_knots(self):
         with pytest.raises(MonotonicityError):
             PiecewiseLinearPhase([0.0, 2.0, 1.0], [0.0, 1.0, 2.0])
@@ -95,19 +80,6 @@ class TestPiecewiseLinearPhase:
 
 
 class TestPhaseFromEvents:
-    def test_phase_on_two_pi_lattice_at_events(self):
-        events = np.array([0.1, 0.9, 1.6, 2.8, 3.5])
-        w = phase_from_events(events)
-        np.testing.assert_allclose(w.forward(events),
-                                   2 * np.pi * np.arange(5), atol=1e-12)
-
-    def test_monotone_everywhere(self):
-        rng = np.random.default_rng(2)
-        events = np.cumsum(rng.uniform(0.6, 1.2, 40))
-        w = phase_from_events(events)
-        t = np.linspace(events[0] - 3, events[-1] + 3, 5000)
-        assert np.all(np.diff(w.forward(t)) > 0)
-
     def test_rejects_unsorted_events(self):
         with pytest.raises(MonotonicityError):
             phase_from_events([0.0, 2.0, 1.0])
