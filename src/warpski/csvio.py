@@ -14,6 +14,34 @@ import numpy as np
 from .exceptions import CsvFormatError
 
 
+def _rows(path):
+    """``(line number, row)`` for each non-empty row of a CSV file."""
+    if not os.path.exists(path):
+        raise CsvFormatError(f"no such file: {path}")
+    with open(path, newline="") as fh:
+        return [(n, row) for n, row in enumerate(csv.reader(fh), start=1)
+                if row]
+
+
+def _number(cell):
+    """``float(cell)``, or None where the cell is not a number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _finite(cell, where, column):
+    """The finite number in ``cell``; else ``CsvFormatError`` at ``where``."""
+    value = _number(cell)
+    if value is None:
+        raise CsvFormatError(f"{where}: not a number: {cell.strip()!r}")
+    if not np.isfinite(value):
+        raise CsvFormatError(f"{where}: column {column}: non-finite value "
+                             f"{cell.strip()!r}")
+    return value
+
+
 def load_series_csv(path):
     """Load named numeric columns from a CSV file.
 
@@ -21,45 +49,23 @@ def load_series_csv(path):
     header name raises ``CsvFormatError``, and so do malformed rows and
     nan/inf cells, with the offending line number (and column).
     """
-    if not os.path.exists(path):
-        raise CsvFormatError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for i, h in enumerate(header):
-            if h in header[:i]:
-                raise CsvFormatError(f"{path}: column {h!r} appears twice "
-                                     "in the header")
-        columns = {h: [] for h in header}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, "
-                    f"found {len(row)}")
-            for h, cell in zip(header, row):
-                try:
-                    columns[h].append(_finite(cell, path, lineno, repr(h)))
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}: not a number: {cell!r}"
-                    ) from None
+    rows = _rows(path)
+    if not rows:
+        raise CsvFormatError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0][1]]
+    for i, h in enumerate(header):
+        if h in header[:i]:
+            raise CsvFormatError(f"{path}: column {h!r} appears twice "
+                                 "in the header")
+    columns = {h: [] for h in header}
+    for lineno, row in rows[1:]:
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{path}: line {lineno}: expected {len(header)} fields, "
+                f"found {len(row)}")
+        for h, cell in zip(header, row):
+            columns[h].append(_finite(cell, f"{path}: line {lineno}", repr(h)))
     return {h: np.asarray(v, dtype=float) for h, v in columns.items()}
-
-
-def _finite(cell, path, lineno, column):
-    """``float(cell)``; a nan or inf value raises ``CsvFormatError``."""
-    value = float(cell)
-    if not np.isfinite(value):
-        raise CsvFormatError(
-            f"{path}: line {lineno}: column {column}: non-finite value "
-            f"{cell.strip()!r}")
-    return value
 
 
 def save_columns_csv(path, columns):
@@ -77,23 +83,13 @@ def save_columns_csv(path, columns):
 
 
 def load_events_csv(path):
-    """Load a single-column event-time CSV (seconds); header optional."""
-    if not os.path.exists(path):
-        raise CsvFormatError(f"no such file: {path}")
+    """Load a single-column event-time CSV (seconds); a first line that is
+    not a number is a header."""
     values = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) != 1:
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: expected a single column")
-            cell = row[0].strip()
-            try:
-                values.append(_finite(cell, path, lineno, 1))
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: not a number: {cell!r}") from None
+    for lineno, (cell, *rest) in _rows(path):
+        if rest:
+            raise CsvFormatError(
+                f"{path}: line {lineno}: expected a single column")
+        if lineno > 1 or _number(cell) is not None:
+            values.append(_finite(cell, f"{path}: line {lineno}", 1))
     return np.asarray(values, dtype=float)

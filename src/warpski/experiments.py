@@ -12,7 +12,7 @@ import json
 import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +20,10 @@ from .csvio import save_columns_csv
 from .exceptions import ConfigError
 from .grids import MIN_AXIS_COUNT, grid_covering_box
 from .kernels import Product, QuasiPeriodic, SquaredExponential
-from .krylov import cg_solve
+from .krylov import CgReport, cg_solve
 from .metrics import rmse, snr_improvement
-from .model import (GpComponent, GpModel, approx_nlml, build_operator, fit,
-                    sample_prior, separate)
+from .model import (FitResult, GpComponent, GpModel, approx_nlml,
+                    build_operator, fit, sample_prior, separate)
 from .warping import ElementwiseWarp, Identity, Polynomial1D, phase_from_events
 
 
@@ -137,21 +137,43 @@ class ExperimentConfig:
 
 @dataclass
 class RunReport:
-    """Numbers reported by an experiment run."""
+    """An experiment run: its timings and metrics, the hyperparameter fit
+    and the final CG solve of ``separate``."""
     kind: str
     n: int
-    m_total: int
-    timings: dict = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
-    learned: dict = field(default_factory=dict)
-    cg_iterations: int = 0
+    timings: dict
+    metrics: dict
+    fit: FitResult
+    solve: CgReport
+
+    @property
+    def learned(self):
+        """The fitted hyperparameter values by name."""
+        fitted = self.fit.model
+        return {name: float(v)
+                for name, v in zip(fitted.param_names, np.exp(fitted.theta))}
 
     def rows(self):
-        return [("kind", self.kind), ("n", self.n), ("m_total", self.m_total),
-                ("cg_iterations", self.cg_iterations),
+        m_total = sum(c.grid.total_size for c in self.fit.model.components)
+        return [("kind", self.kind), ("n", self.n), ("m_total", m_total),
+                ("cg_iterations", self.solve.iterations),
                 *((f"time_{k}_s", v) for k, v in self.timings.items()),
                 *self.metrics.items(),
-                *((f"learned_{k}", v) for k, v in self.learned.items())]
+                *((f"learned_{k}", v) for k, v in self.learned.items()),
+                ("fit_flag", self.fit.flag),
+                ("fit_evaluations", self.fit.n_evaluations),
+                ("fit_cg_unconverged", self.fit.cg_unconverged),
+                ("cg_converged", self.solve.converged)]
+
+
+def _learn(config, model, x, y):
+    """``fit`` with the config's Krylov settings; the result and its wall
+    time."""
+    t0 = time.perf_counter()
+    result = fit(model, x, y, max_steps=config.max_steps, seed=config.seed,
+                 n_probes=config.n_probes, cg_tol=config.cg_tol_inference,
+                 lanczos_steps=config.lanczos_steps)
+    return result, time.perf_counter() - t0
 
 
 def _timeit(fn):
@@ -182,8 +204,8 @@ def _write_outputs(config, tables, report=None):
         save_columns_csv(os.path.join(config.out_dir, relpath), columns)
 
 
-def numeric2d_model(config, grid_counts=None):
-    """The warped-SE benchmark model (free grid sizing)."""
+def numeric2d_model(config):
+    """The warped-SE benchmark model on a ``config.grid_counts`` grid."""
     box = [tuple(map(float, b)) for b in config.data_box]
     pad = 0.05 * (box[0][1] - box[0][0])
     warp = ElementwiseWarp([
@@ -193,8 +215,7 @@ def numeric2d_model(config, grid_counts=None):
     warped_box = [tuple(sorted((warp.warps[0].forward(box[0][0]),
                                 warp.warps[0].forward(box[0][1])))),
                   box[1]]
-    counts = grid_counts if grid_counts is not None else config.grid_counts
-    grid = grid_covering_box(warped_box, counts)
+    grid = grid_covering_box(warped_box, config.grid_counts)
     kernel = Product([
         SquaredExponential(config.amplitude, config.lengthscale),
         SquaredExponential(1.0, config.lengthscale)], dims=[0, 1])
@@ -210,8 +231,8 @@ def _sample_numeric2d(config):
     rng = np.random.default_rng(config.seed)
     box = [tuple(map(float, b)) for b in config.data_box]
     x = np.column_stack([rng.uniform(lo, hi, config.n) for lo, hi in box])
-    truth_model = numeric2d_model(config,
-                                  grid_counts=config.sample_grid_counts)
+    truth_model = numeric2d_model(
+        dataclasses.replace(config, grid_counts=config.sample_grid_counts))
     draw = sample_prior(truth_model, x, seed=config.seed + 1)
     return x, draw
 
@@ -248,26 +269,15 @@ def run_numeric2d(config):
     start_theta[-1] = np.log(config.start_noise)
     model = model.with_theta(start_theta)
 
-    t0 = time.perf_counter()
-    result = fit(model, x, y, max_steps=config.max_steps, seed=config.seed,
-                 n_probes=config.n_probes, cg_tol=config.cg_tol_inference,
-                 lanczos_steps=config.lanczos_steps)
-    t_learn = time.perf_counter() - t0
-    fitted = result.model
-
-    sep, timings = _infer_numeric2d(config, fitted, x, y)
+    result, t_learn = _learn(config, model, x, y)
+    sep, timings = _infer_numeric2d(config, result.model, x, y)
     posterior_mean = sum(sep.means)
-
-    learned = {name: float(v) for name, v in
-               zip(fitted.param_names, np.exp(fitted.theta))}
     report = RunReport(
         kind="numeric2d", n=config.n,
-        m_total=fitted.components[0].grid.total_size,
         timings={**timings, "learning": t_learn},
         metrics={"rmse": rmse(posterior_mean, draw.latent),
                  "nlml": result.value},
-        learned=learned,
-        cg_iterations=sep.cg_report.iterations)
+        fit=result, solve=sep.cg_report)
     _write_outputs(config, {os.path.join("curves", "posterior.csv"): {
         "x0": x[:, 0], "x1": x[:, 1], "y": y,
         "latent_truth": draw.latent, "posterior_mean": posterior_mean}},
@@ -349,15 +359,9 @@ def run_separation1d(config):
         y = draw.y
         truths = draw.latents
 
+    result, t_learn = _learn(config, model, t, y)
     t0 = time.perf_counter()
-    result = fit(model, t, y, max_steps=config.max_steps, seed=config.seed,
-                 n_probes=config.n_probes, cg_tol=config.cg_tol_inference,
-                 lanczos_steps=config.lanczos_steps)
-    t_learn = time.perf_counter() - t0
-    fitted = result.model
-
-    t0 = time.perf_counter()
-    sep = separate(fitted, t, y, cg_tol=config.cg_tol_separation)
+    sep = separate(result.model, t, y, cg_tol=config.cg_tol_separation)
     t_sep = time.perf_counter() - t0
 
     metrics = {}
@@ -366,14 +370,10 @@ def run_separation1d(config):
             metrics[f"snr_improvement_{name}_db"] = snr_improvement(
                 y, sep.means[j], truths[j])
 
-    learned = {name: float(v) for name, v in
-               zip(fitted.param_names, np.exp(fitted.theta))}
     report = RunReport(
         kind="separation1d", n=t.size,
-        m_total=sum(c.grid.total_size for c in fitted.components),
         timings={"learning": t_learn, "separation": t_sep},
-        metrics=metrics, learned=learned,
-        cg_iterations=sep.cg_report.iterations)
+        metrics=metrics, fit=result, solve=sep.cg_report)
     tables = {os.path.join("separated", "sources.csv"): {
         "time": t, "y": y,
         "mean_maternal": sep.means[0], "mean_fetal": sep.means[1],

@@ -130,12 +130,13 @@ class Periodic(Kernel):
 
 
 class Product(Kernel):
-    """Product of kernels, optionally across distinct input dimensions.
+    """Product of 1-D kernels, on one shared lag or one per input axis.
 
-    ``dims[i]`` is the input dimension that child ``i`` acts on; when all
-    dims are 0 (default) the product is over a shared 1-D lag. The kernel
-    arity is ``max(dims) + 1``; children must themselves be arity-1. The
-    parameters are the children's, concatenated in child order.
+    ``dims[i]`` is the input dimension that child ``i`` acts on: all 0
+    (default), a product over one shared 1-D lag, or ``0, ..., D-1``, one
+    child per axis of a D-dimensional lag. Several factors on one axis
+    form a nested ``Product`` child. The parameters are the children's,
+    concatenated in child order.
     """
 
     def __init__(self, children, dims=None):
@@ -147,14 +148,13 @@ class Product(Kernel):
         if dims is None:
             dims = [0] * len(children)
         dims = [int(d) for d in dims]
-        if len(dims) != len(children) or min(dims) < 0:
-            raise DimensionMismatchError("dims must map each child to a dimension")
-        ndim = max(dims) + 1
-        if sorted(set(dims)) != list(range(ndim)):
-            raise DimensionMismatchError("dims must cover 0..D-1 without gaps")
+        if dims not in ([0] * len(children), list(range(len(children)))):
+            raise DimensionMismatchError(
+                "dims must be all 0 (one shared lag) or 0..D-1 (one child "
+                "per axis)")
         self.children = children
         self.dims = dims
-        self.arity = ndim
+        self.arity = max(dims) + 1
         self.param_names = tuple(f"{i}.{n}" for i, c in enumerate(children)
                                  for n in c.param_names)
         self.log_params = np.concatenate([c.log_params for c in children])

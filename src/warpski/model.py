@@ -338,7 +338,6 @@ class SeparationResult:
     alpha: np.ndarray
     residual: np.ndarray
     cg_report: CgReport
-    flagged: bool
 
 
 def separate(model, x, y, cg_tol=5e-3, operator=None):
@@ -354,7 +353,7 @@ def separate(model, x, y, cg_tol=5e-3, operator=None):
     means = [c.matvec(rep.x) for c in op.components]
     residual = y - sum(means) - op.noise_variance * rep.x
     return SeparationResult(means=means, alpha=rep.x, residual=residual,
-                            cg_report=rep, flagged=not rep.converged)
+                            cg_report=rep)
 
 
 def predict_mean(model, x, alpha, x_star):

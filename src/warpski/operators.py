@@ -12,7 +12,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, GridError
 from .grids import InducingGrid, interpolation_weights
-from .kernels import Kernel, Product, dense_matrix, split_params
+from .kernels import Kernel, dense_matrix, split_params
 from .structured import KronOperator, SymToeplitz, as_operand
 from .warping import Warp
 
@@ -22,25 +22,17 @@ def decompose_separable(kernel, ndim):
 
     Returns a list of ``(axis_kernel, param_indices)`` pairs, where
     ``param_indices`` maps the axis kernel's parameters into the full
-    kernel's parameter vector.
+    kernel's parameter vector. A 1-D kernel is its own axis kernel; a
+    multi-axis ``Product`` has one child per axis.
     """
-    if ndim == 1:
-        if kernel.arity != 1:
-            raise DimensionMismatchError("kernel arity does not match grid")
-        return [(kernel, list(range(kernel.n_params)))]
-    if not isinstance(kernel, Product) or kernel.arity != ndim:
+    if kernel.arity != ndim:
         raise DimensionMismatchError(
-            f"a {ndim}-D grid needs a Product kernel of matching arity")
+            f"kernel arity {kernel.arity} does not match grid of {ndim} axes")
+    if ndim == 1:
+        return [(kernel, list(range(kernel.n_params)))]
     owned = split_params([c.n_params for c in kernel.children],
                          np.arange(kernel.n_params))
-    out = []
-    for d in range(ndim):
-        members = [i for i, dim in enumerate(kernel.dims) if dim == d]
-        children = [kernel.children[i] for i in members]
-        idx = [j for i in members for j in owned[i].tolist()]
-        out.append((children[0] if len(children) == 1 else Product(children),
-                    idx))
-    return out
+    return [(c, idx.tolist()) for c, idx in zip(kernel.children, owned)]
 
 
 class SkiComponent:

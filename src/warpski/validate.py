@@ -13,6 +13,7 @@ import time
 import numpy as np
 import scipy.linalg
 
+from .exceptions import ConfigError
 from .grids import (InducingGrid, grid_covering_box, interpolation_weights,
                     warped_grid)
 from .kernels import (Periodic, Product, QuasiPeriodic, SquaredExponential,
@@ -549,13 +550,15 @@ def run_validation(names=None, out=print):
 
     Prints one ``PASS``/``FAIL`` line per check with wall time; a check
     that raises anything but an ``AssertionError`` fails with the error's
-    type named, and the checks after it still run.
+    type named, and the checks after it still run. Names that select no
+    check raise ``ConfigError``.
     """
     failures = 0
     selected = [(n, f) for n, f in _CHECKS
                 if names is None or any(n.startswith(p) for p in names)]
     if names is not None and not selected:
-        raise ValueError(f"no checks match {names!r}")
+        raise ConfigError(f"--checks: no check name starts with any of "
+                          f"{', '.join(names)}")
     for name, fn in selected:
         t0 = time.perf_counter()
         try:

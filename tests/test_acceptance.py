@@ -5,11 +5,9 @@ asserting, so a verbose run reads as a checklist. Tolerances are pinned;
 several tests are deliberately large and take minutes.
 """
 
-import dataclasses
 import time
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 from warpski.experiments import (ExperimentConfig, run_numeric2d,
@@ -18,12 +16,10 @@ from warpski.grids import (grid_covering_box, interpolation_weights,
                            warped_grid)
 from warpski.kernels import QuasiPeriodic, SquaredExponential
 from warpski.krylov import cg_solve, rademacher_probes, slq_logdet
-from warpski.metrics import rmse
 from warpski.model import (GpComponent, GpModel, approx_nlml, build_operator,
                            exact_nlml, exact_separation_means, sample_prior,
                            separate)
 from warpski.operators import build_component
-from warpski.structured import SymToeplitz
 from warpski.validate import run_validation
 from warpski.warping import Identity, Polynomial1D, phase_from_events
 

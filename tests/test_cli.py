@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -272,6 +271,7 @@ class TestCliSmoke:
         assert (out / "curves" / "posterior.csv").exists()
         text = capsys.readouterr().out
         assert "rmse" in text
+        self._check_convergence_rows(out, text)
 
     def test_numeric2d_is_deterministic(self, tmp_path, capsys):
         args = ["numeric2d", "--n", "120", "--max-steps", "2",
@@ -290,6 +290,10 @@ class TestCliSmoke:
         assert code == 0
         text = capsys.readouterr().out
         assert "PASS kernels.stationary_symmetry" in text
+
+    def test_validate_without_a_matching_check_exits_2(self, capsys):
+        assert main(["validate", "--checks", "nosuch"]) == 2
+        assert "error: --checks: " in capsys.readouterr().err
 
     def test_validate_lists_checks(self, capsys):
         assert main(["validate", "--list"]) == 0
@@ -431,6 +435,26 @@ class TestCliSmoke:
         assert (out / "separated" / "sources.csv").exists()
         cols = load_series_csv(str(out / "separated" / "sources.csv"))
         assert {"time", "y", "mean_maternal", "mean_fetal"} <= set(cols)
+        self._check_convergence_rows(out, capsys.readouterr().out)
+
+    @staticmethod
+    def _check_convergence_rows(out, printed):
+        """The report ends with the fit's record and whether the final
+        solve converged, in report.csv and on stdout alike."""
+        rows = [line.split(",", 1) for line in
+                (out / "report.csv").read_text().splitlines()[-4:]]
+        assert [name for name, _ in rows] == [
+            "fit_flag", "fit_evaluations", "fit_cg_unconverged",
+            "cg_converged"]
+        values = dict(rows)
+        flag = values["fit_flag"].strip("'")
+        assert flag == "converged" or flag.startswith("stopped: ")
+        assert 0 <= int(values["fit_cg_unconverged"]) <= int(
+            values["fit_evaluations"]) and int(values["fit_evaluations"]) > 0
+        assert values["cg_converged"] in ("True", "False")
+        assert printed.splitlines()[-4:] == [
+            f"fit_flag: {flag}", *(f"{name}: {values[name]}" for name in (
+                "fit_evaluations", "fit_cg_unconverged", "cg_converged"))]
 
     @staticmethod
     def _event_flags(tmp_path, lo, hi):

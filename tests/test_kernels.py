@@ -70,6 +70,12 @@ class TestComposite:
         with pytest.raises(ValueError, match="Product requires"):
             Product([])
 
+    @pytest.mark.parametrize("dims", [[1, 0], [0, 1, 0]])
+    def test_product_dims_are_one_lag_or_one_child_per_axis(self, dims):
+        children = [SquaredExponential(1.0, 0.5) for _ in dims]
+        with pytest.raises(DimensionMismatchError, match="dims"):
+            Product(children, dims=dims)
+
     def test_with_log_params_round_trip(self):
         k = Product([SquaredExponential(1.5, 0.4),
                      Periodic(0.7, 0.9, 1.3)], dims=[0, 1])

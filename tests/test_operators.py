@@ -40,6 +40,14 @@ class TestDecomposeSeparable:
         assert parts[0][1] == [0, 1]
         assert parts[1][1] == [2, 3]
 
+    def test_nested_product_is_one_axis_kernel(self):
+        axis0 = QuasiPeriodic(1.2, 5.0, 0.6, 2.0)
+        k = Product([axis0, SquaredExponential(1.0, 0.9)], dims=[0, 1])
+        [(kd0, idx0), (_, idx1)] = decompose_separable(k, 2)
+        assert kd0 is axis0
+        assert idx0 == [0, 1, 2, 3, 4]
+        assert idx1 == [5, 6]
+
     def test_quasiperiodic_stays_on_one_axis(self):
         k = QuasiPeriodic(1.2, 5.0, 0.6, 2.0)
         [(kd, idx)] = decompose_separable(k, 1)
