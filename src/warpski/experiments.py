@@ -7,6 +7,7 @@ CSV artifacts.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import numbers
@@ -195,11 +196,11 @@ def _write_outputs(config, tables, report=None):
     with open(os.path.join(config.out_dir, "config_echo.json"), "w") as fh:
         json.dump(config.to_dict(), fh, indent=2)
     if report is not None:
-        with open(os.path.join(config.out_dir, "report.csv"), "w") as fh:
-            fh.write("name,value\n")
-            for name, value in report.rows():
-                fh.write(f"{name},{value!r}\n" if isinstance(value, str)
-                         else f"{name},{value}\n")
+        with open(os.path.join(config.out_dir, "report.csv"), "w",
+                  newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("name", "value"))
+            writer.writerows(report.rows())
     for relpath, columns in tables.items():
         save_columns_csv(os.path.join(config.out_dir, relpath), columns)
 

@@ -182,9 +182,10 @@ def slq_probes(apply, probes, k, keep_basis=True):
 
     ``vals, vecs`` are the Ritz pairs of the factor's tridiagonal T and
     ``quad`` = ||z||^2 e_1^T log(T) e_1 is the Gauss quadrature of
-    z^T log(K) z. With ``keep_basis`` one basis is held at a time;
-    without, one :func:`lanczos` call advances all probes in about 10 n p
-    floats (30 MB for 200 probes at n = 2,000 on grids of 764 and 2,115).
+    z^T log(K) z. With ``keep_basis`` one basis is held at a time if the
+    caller drops each factor before asking for the next; without, one
+    :func:`lanczos` call advances all probes in about 10 n p floats
+    (30 MB for 200 probes at n = 2,000 on grids of 764 and 2,115).
     Raises ``NotPositiveDefiniteError`` on a nonpositive Ritz value and
     ``NonFiniteInputError`` on a non-finite T.
     """
@@ -194,7 +195,8 @@ def slq_probes(apply, probes, k, keep_basis=True):
         block = lanczos(apply, probes, k, keep_basis=False)
         factors = (LanczosFactor(a, b, None, block.steps)
                    for a, b in zip(block.alphas.T, block.betas.T))
-    for z, factor in zip(probes.T, factors):
+    for z in probes.T:
+        factor = next(factors)
         vals, vecs = factor.ritz()
         if np.any(vals <= 0.0):
             raise NotPositiveDefiniteError(
@@ -202,6 +204,7 @@ def slq_probes(apply, probes, k, keep_basis=True):
                 "not positive definite (consider a noise/jitter floor)")
         yield (factor, vals, vecs,
                float(z @ z) * float(vecs[0, :] ** 2 @ np.log(vals)))
+        del factor  # not held while the next probe's basis is built
 
 
 def slq_logdet(apply, probes, k):

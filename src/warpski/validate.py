@@ -478,7 +478,7 @@ def _gp_separation_identity():
     model = _two_component(0.5)
     y = np.sin(6 * x) + 0.2 * rng.standard_normal(n)
     sep = separate(model, x, y, cg_tol=1e-10)
-    recon = sum(sep.means) + model.noise_variance * sep.alpha
+    recon = sum(sep.means) + model.noise_variance * sep.cg_report.x
     err = _rel(recon, y)
     assert err < 1e-8, f"separation identity violated, rel err {err:.2e}"
 

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -441,13 +442,16 @@ class TestCliSmoke:
     def _check_convergence_rows(out, printed):
         """The report ends with the fit's record and whether the final
         solve converged, in report.csv and on stdout alike."""
-        rows = [line.split(",", 1) for line in
-                (out / "report.csv").read_text().splitlines()[-4:]]
-        assert [name for name, _ in rows] == [
+        with open(out / "report.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["name", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert [name for name, _ in rows[-4:]] == [
             "fit_flag", "fit_evaluations", "fit_cg_unconverged",
             "cg_converged"]
         values = dict(rows)
-        flag = values["fit_flag"].strip("'")
+        assert values["kind"] in ("numeric2d", "separation1d")
+        flag = values["fit_flag"]
         assert flag == "converged" or flag.startswith("stopped: ")
         assert 0 <= int(values["fit_cg_unconverged"]) <= int(
             values["fit_evaluations"]) and int(values["fit_evaluations"]) > 0

@@ -11,7 +11,7 @@ from warpski.grids import grid_covering_box
 from warpski.kernels import Periodic, Product, SquaredExponential
 from warpski.krylov import lanczos, rademacher_probes, slq_probes
 from warpski.model import (GpComponent, GpModel, _log_divided_difference,
-                           _projected_trace_gradient, approx_nlml,
+                           _probe_trace_gradient, approx_nlml,
                            build_operator, dense_mixture_matrix,
                            exact_nlml, exact_separation_means, fit,
                            predict_mean, sample_prior, separate)
@@ -182,8 +182,7 @@ class TestApproxNlml:
             assert grad[p] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
     @pytest.mark.parametrize("with_gradient", [False, True])
-    def test_holds_at_most_one_earlier_basis(self, monkeypatch,
-                                             with_gradient):
+    def test_holds_no_earlier_basis(self, monkeypatch, with_gradient):
         original = warpski.krylov.lanczos
         bases = []
         alive = []
@@ -201,7 +200,7 @@ class TestApproxNlml:
                     with_gradient=with_gradient)
         # the value path advances all probes in one call and keeps no basis
         assert len(alive) == (8 if with_gradient else 1)
-        assert max(alive) <= 1
+        assert max(alive) == 0
         assert len(bases) == (8 if with_gradient else 0)
 
     @pytest.mark.parametrize("field, count", [
@@ -239,13 +238,29 @@ class TestProjectedTraceGradient:
         for factor, vals, vecs, _ in slq_probes(
                 op.matvec, rademacher_probes(op.n, 4, 0), 15):
             factors.append(factor)
-            got += _projected_trace_gradient(
-                op.derivative_forms(indices, factor.basis), vals, vecs,
-                float(op.n))
+            got += _probe_trace_gradient(op, indices, factor.basis, vals,
+                                         vecs)
         got /= len(factors)
         want = _reference_trace_gradient(op, factors)
         np.testing.assert_allclose(got, want, rtol=1e-10,
                                    atol=1e-10 * np.abs(want).max())
+
+    @pytest.mark.parametrize("case", ["2d", "two-component"])
+    def test_forms_run_on_fewer_columns_than_steps(self, case, monkeypatch):
+        make_model, make_data = GRADIENT_CASES[case]
+        m = make_model()
+        x, y = make_data(150)
+        widths = []
+        original = MixtureOperator.derivative_forms
+
+        def recording(self, indices, x, xkx=None):
+            widths.append(x.shape[1])
+            return original(self, indices, x, xkx)
+
+        monkeypatch.setattr(MixtureOperator, "derivative_forms", recording)
+        approx_nlml(m, x, y, n_probes=4, lanczos_steps=30)
+        assert len(widths) == 4
+        assert all(1 <= width < 30 for width in widths), widths
 
     @pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
     def test_derivative_forms_match_projected_derivative_matvecs(self, case):
@@ -489,8 +504,8 @@ class TestSeparate:
         op = build_operator(m, x)
         sep = separate(m, x, y, cg_tol=1e-10, operator=op)
         np.testing.assert_allclose(
-            op.matvec(sep.alpha) - sum(sep.means),
-            m.noise_variance * sep.alpha, rtol=1e-10, atol=1e-14)
+            op.matvec(sep.cg_report.x) - sum(sep.means),
+            m.noise_variance * sep.cg_report.x, rtol=1e-10, atol=1e-14)
 
 
 class TestPredictMean:
@@ -498,20 +513,20 @@ class TestPredictMean:
         m = _model_1d(counts=256)
         x, y = _data(200)
         sep = separate(m, x, y, cg_tol=1e-10)
-        total, per = predict_mean(m, x, sep.alpha, x)
+        total, per = predict_mean(m, x, sep.cg_report.x, x)
         np.testing.assert_allclose(total, sep.means[0], rtol=1e-8, atol=1e-10)
         assert len(per) == 1
 
     def test_column_points_match_flat_and_2d_points_raise(self):
         m = _model_1d()
         x, y = _data(100)
-        sep = separate(m, x, y, cg_tol=1e-10)
+        alpha = separate(m, x, y, cg_tol=1e-10).cg_report.x
         x_star = np.linspace(-0.9, 0.9, 10)
-        total, _ = predict_mean(m, x, sep.alpha, x_star)
-        column, _ = predict_mean(m, x, sep.alpha, x_star[:, None])
+        total, _ = predict_mean(m, x, alpha, x_star)
+        column, _ = predict_mean(m, x, alpha, x_star[:, None])
         np.testing.assert_array_equal(column, total)
         with pytest.raises(DimensionMismatchError, match=r"\(n, 1\)"):
-            predict_mean(m, x, sep.alpha, np.column_stack([x_star, x_star]))
+            predict_mean(m, x, alpha, np.column_stack([x_star, x_star]))
 
 
 class TestSamplePrior:

@@ -1,6 +1,6 @@
 """Property tests of the operator contract, the prior-draw roots, the
 amplitude derivatives, the inducing lattice, the interpolation weights,
-the warps and the separation identity.
+the warps, the separation identity and the rank-truncated trace gradient.
 
 Block Krylov methods apply an operator to ``(n, p)`` blocks, so a block
 product must equal the single-column products stacked side by side.
@@ -20,7 +20,8 @@ from warpski.grids import (COVER_CELLS, MIN_AXIS_COUNT, InducingGrid,
 from warpski.exceptions import NotPositiveDefiniteError
 from warpski.kernels import (Periodic, Product, QuasiPeriodic,
                              SquaredExponential)
-from warpski.model import GpComponent, GpModel, separate
+from warpski.model import (GpComponent, GpModel, _log_divided_difference,
+                           _probe_trace_gradient, separate)
 from warpski.operators import MixtureOperator, build_component
 from warpski.serialize import grid_from_dict, grid_to_dict
 from warpski.structured import (DENSE_MAX_ORDER, KronOperator, SymToeplitz,
@@ -270,6 +271,46 @@ def test_separation_means_and_noise_reconstruct_data(n, seed):
     cg_tol = 1e-6
     sep = separate(model, x, y, cg_tol=cg_tol)
     assert sep.cg_report.converged
-    identity = y - sum(sep.means) - model.noise_variance * sep.alpha
+    identity = y - sum(sep.means) - model.noise_variance * sep.cg_report.x
     # CG stops on its recursive residual, so allow rounding drift on top
     assert np.linalg.norm(identity) <= 1.01 * cg_tol * np.linalg.norm(y)
+
+
+class _FormsOfB:
+    """A stand-in operator whose derivative form on X is X^T B X, checking
+    that the X^T K X it is handed is that of T = V diag(vals) V^T."""
+
+    def __init__(self, b, t):
+        self.n, self.b, self.t = len(b), b, t
+
+    def derivative_forms(self, indices, x, xkx):
+        np.testing.assert_allclose(np.eye(x.shape[1]), x.T @ x, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(xkx, x.T @ self.t @ x, rtol=0,
+                                   atol=1e-12 * np.abs(self.t).max())
+        return [x.T @ self.b @ x for _ in indices]
+
+
+@FAST
+@given(k=st.integers(1, 40), close=st.integers(0, 5), seed=seeds)
+@example(k=30, close=5, seed=0)
+def test_rank_truncated_trace_gradient_matches_full_rank(k, close, seed):
+    # n sum_r mu_r (S_r^T B_V S_r)_rr over the eigenpairs of
+    # G = diag(u) Phi diag(u) kept by GRADIENT_RANK_RTOL equals the full
+    # n u^T ((B_V o Phi) u), also where Ritz values nearly coincide and
+    # Phi takes its 2 / (a + b) branch
+    rng = np.random.default_rng(seed)
+    vals = np.exp(rng.uniform(np.log(1e-2), np.log(1e4), k))
+    pairs = rng.integers(0, k, size=(min(close, k - 1), 2))
+    vals[pairs[:, 0]] = vals[pairs[:, 1]] * (
+        1.0 + rng.uniform(-1e-13, 1e-13, len(pairs)))
+    vecs, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    b = rng.normal(size=(k, k))
+    b = b + b.T
+    b_v = vecs.T @ b @ vecs
+    u, phi = vecs[0], _log_divided_difference(vals)
+    want = k * u @ ((b_v * phi) @ u)
+    got = _probe_trace_gradient(_FormsOfB(b, (vecs * vals) @ vecs.T), [0],
+                                np.eye(k), vals, vecs)
+    scale = k * np.abs(u) @ ((np.abs(b_v) * phi) @ np.abs(u))
+    assert abs(got[0] - want) <= 1e-10 * scale
