@@ -14,6 +14,7 @@ import numbers
 import os
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,9 +32,8 @@ from .warping import ElementwiseWarp, Identity, Polynomial1D, phase_from_events
 # Scalar settings that must be positive and finite; NaN fails as well.
 _POSITIVE_FIELDS = (
     "n", "noise", "cg_tol_inference", "cg_tol_separation", "n_probes",
-    "lanczos_steps", "max_steps", "amplitude", "lengthscale", "start_noise",
-    "start_amplitude", "start_lengthscale", "dt", "maternal_period",
-    "period_ratio", "env_lengthscale", "per_lengthscale", "grid_per_cycle")
+    "lanczos_steps", "max_steps", "dt", "env_lengthscale", "per_lengthscale",
+    "grid_per_cycle")
 _INTEGER_FIELDS = ("n", "n_probes", "lanczos_steps", "max_steps",
                    "grid_per_cycle")
 
@@ -45,7 +45,8 @@ def _is_number(value, kind=numbers.Real):
 
 @dataclass
 class ExperimentConfig:
-    """Experiment settings; field names mirror the CLI flags."""
+    """What a run may vary, as fields that a ``--config`` file or a flag
+    sets; each experiment's fixed definition is a class constant."""
     kind: str = "numeric2d"
     n: int = 2000
     seed: int = 0
@@ -57,22 +58,24 @@ class ExperimentConfig:
     max_steps: int = 100
     out_dir: str | None = None
 
-    # numeric2d
-    data_box: tuple = ((-1.2, 0.75), (-2.5, 2.5))
-    warp_coeffs: tuple = (2.0, 0.0, 1.0)
-    amplitude: float = 1.5
-    lengthscale: float = 0.4
+    # numeric2d: an SE draw on data_box, its first axis warped by the
+    # polynomial warp_coeffs, fitted from the start_* values
+    data_box: ClassVar[tuple] = ((-1.2, 0.75), (-2.5, 2.5))
+    warp_coeffs: ClassVar[tuple] = (2.0, 0.0, 1.0)
+    amplitude: ClassVar[float] = 1.5
+    lengthscale: ClassVar[float] = 0.4
+    start_noise: ClassVar[float] = 1.0
+    start_amplitude: ClassVar[float] = 1.0
+    start_lengthscale: ClassVar[float] = 0.6
     grid_counts: tuple = (100, 100)
     sample_grid_counts: tuple = (200, 160)
-    start_noise: float = 1.0
-    start_amplitude: float = 1.0
-    start_lengthscale: float = 0.6
 
-    # separation1d
+    # separation1d: synthetic beats every maternal_period s, period_ratio
+    # times as often for the fetal source, each jittered by period_jitter
+    maternal_period: ClassVar[float] = 0.85
+    period_ratio: ClassVar[float] = 2.8
+    period_jitter: ClassVar[float] = 0.03
     dt: float = 0.002
-    maternal_period: float = 0.85
-    period_ratio: float = 2.8
-    period_jitter: float = 0.03
     amplitudes: tuple = (1.0, 0.4)
     env_lengthscale: float = 20.0
     per_lengthscale: float = 0.6
@@ -95,28 +98,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must be below 1")
         if not (_is_number(self.seed, numbers.Integral) and self.seed >= 0):
             raise ConfigError("seed: must be an integer >= 0")
-        if not (_is_number(self.period_jitter)
-                and 0 <= self.period_jitter < np.inf):
-            raise ConfigError("period_jitter: must be finite and >= 0")
-        if len(self.data_box) != 2 or not all(
-                np.shape(b) == (2,) and all(map(_is_number, b))
-                and -np.inf < b[0] < b[1] < np.inf for b in self.data_box):
-            raise ConfigError("data_box: need 2 finite (lo, hi), each lo < hi")
-        coeffs = self.warp_coeffs
-        if not (isinstance(coeffs, (list, tuple)) and coeffs and all(
-                _is_number(c) and -np.inf < c < np.inf for c in coeffs)):
-            raise ConfigError("warp_coeffs: need a non-empty list of finite "
-                              "numbers")
-        amps = self.amplitudes
-        if len(amps) != 2 or not all(
-                _is_number(a) and 0 < a < np.inf for a in amps):
-            raise ConfigError("amplitudes: need exactly 2, all positive "
-                              "and finite")
+        for name in ("amplitudes", "grid_counts", "sample_grid_counts"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ConfigError(f"{name}: need a list of 2 entries")
+        if not all(_is_number(a) and 0 < a < np.inf for a in self.amplitudes):
+            raise ConfigError("amplitudes: need 2, all positive and finite")
         for name in ("grid_counts", "sample_grid_counts"):
-            counts = getattr(self, name)
-            if len(counts) != 2 or not all(
-                    isinstance(c, numbers.Integral) and c >= MIN_AXIS_COUNT
-                    for c in counts):
+            if not all(isinstance(c, numbers.Integral) and c >= MIN_AXIS_COUNT
+                       for c in getattr(self, name)):
                 raise ConfigError(f"{name}: need 2 per-axis integer counts, "
                                   f"each >= {MIN_AXIS_COUNT}")
         for name in ("maternal_events_csv", "fetal_events_csv"):
@@ -131,9 +121,6 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -194,7 +181,7 @@ def _write_outputs(config, tables, report=None):
         return
     os.makedirs(config.out_dir, exist_ok=True)
     with open(os.path.join(config.out_dir, "config_echo.json"), "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2)
+        json.dump(dataclasses.asdict(config), fh, indent=2)
     if report is not None:
         with open(os.path.join(config.out_dir, "report.csv"), "w",
                   newline="") as fh:
@@ -207,7 +194,7 @@ def _write_outputs(config, tables, report=None):
 
 def numeric2d_model(config):
     """The warped-SE benchmark model on a ``config.grid_counts`` grid."""
-    box = [tuple(map(float, b)) for b in config.data_box]
+    box = config.data_box
     pad = 0.05 * (box[0][1] - box[0][0])
     warp = ElementwiseWarp([
         Polynomial1D(config.warp_coeffs,
@@ -230,8 +217,8 @@ def numeric2d_model(config):
 
 def _sample_numeric2d(config):
     rng = np.random.default_rng(config.seed)
-    box = [tuple(map(float, b)) for b in config.data_box]
-    x = np.column_stack([rng.uniform(lo, hi, config.n) for lo, hi in box])
+    x = np.column_stack([rng.uniform(lo, hi, config.n)
+                         for lo, hi in config.data_box])
     truth_model = numeric2d_model(
         dataclasses.replace(config, grid_counts=config.sample_grid_counts))
     draw = sample_prior(truth_model, x, seed=config.seed + 1)

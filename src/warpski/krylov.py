@@ -96,14 +96,13 @@ class LanczosFactor:
     def ritz(self):
         """Eigenvalues of T and first components of its eigenvectors,
         stacked per column for a block."""
-        if not np.all(np.isfinite(np.r_[self.alphas, self.betas])):
-            raise NonFiniteInputError("Lanczos T is not finite: K overflows")
         if self.alphas.ndim == 1:
             return scipy.linalg.eigh_tridiagonal(self.alphas, self.betas)
         pairs = map(scipy.linalg.eigh_tridiagonal, self.alphas.T, self.betas.T)
         return tuple(map(np.array, zip(*pairs)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lanczos(apply, start, k, keep_basis=True):
     """Lanczos tridiagonalization of ``apply`` from ``start``.
 
@@ -123,7 +122,8 @@ def lanczos(apply, start, k, keep_basis=True):
     one Gram-Schmidt pass, and in a second if the first left under
     1/sqrt(2) of its norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp.
     1976). A block with ``keep_basis`` or a k below 1 raises
-    ``ConfigError``, and a zero column ``ValueError``.
+    ``ConfigError``, and a zero column ``ValueError``. A non-finite alpha
+    or beta ends the run with ``NonFiniteInputError``, not a numpy warning.
     """
     v = np.asarray(start, dtype=float)
     q = v.reshape(len(v), -1)
@@ -143,6 +143,8 @@ def lanczos(apply, start, k, keep_basis=True):
     for j in range(k):
         w = apply(q.reshape(v.shape)).reshape(q.shape)
         alphas[j] = np.where(live, _column_dots(q, w), alphas[j - 1])
+        if not np.isfinite(alphas[j]).all():
+            raise NonFiniteInputError(f"Lanczos alpha {j}: K overflows")
         if keep_basis:
             basis[j] = q[:, 0]
         if j == k - 1:
@@ -156,6 +158,8 @@ def lanczos(apply, start, k, keep_basis=True):
             beta, before = np.sqrt(_column_dots(w, w)), beta
             if beta >= before / np.sqrt(2.0):
                 break
+        if not np.isfinite(beta).all():
+            raise NonFiniteInputError(f"Lanczos beta {j}: K overflows")
         if not j:
             floor = 1e-12 * np.maximum(np.abs(alphas[0]), 1e-300)
         live &= beta > floor
@@ -186,8 +190,8 @@ def slq_probes(apply, probes, k, keep_basis=True):
     caller drops each factor before asking for the next; without, one
     :func:`lanczos` call advances all probes in about 10 n p floats
     (30 MB for 200 probes at n = 2,000 on grids of 764 and 2,115).
-    Raises ``NotPositiveDefiniteError`` on a nonpositive Ritz value and
-    ``NonFiniteInputError`` on a non-finite T.
+    Raises ``NotPositiveDefiniteError`` on a nonpositive Ritz value;
+    :func:`lanczos` raises ``NonFiniteInputError`` on a non-finite T.
     """
     if keep_basis:
         factors = (lanczos(apply, z, k) for z in probes.T)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, GridError
+from .exceptions import (DimensionMismatchError, GridError,
+                         NonFiniteInputError)
 from .grids import InducingGrid, interpolation_weights
 from .kernels import Kernel, dense_matrix, split_params
 from .structured import KronOperator, SymToeplitz, as_operand
@@ -44,9 +45,11 @@ class SkiComponent:
         self.grid = grid
         self.weights = weights
         self.axis_kernels = decompose_separable(kernel, grid.ndim)
-        self.kuu = KronOperator([
-            SymToeplitz(kd.eval(ax - ax[0]))
-            for (kd, _), ax in zip(self.axis_kernels, grid.axes)])
+        # a factor that overflows is reported by MixtureOperator
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.kuu = KronOperator([
+                SymToeplitz(kd.eval(ax - ax[0]))
+                for (kd, _), ax in zip(self.axis_kernels, grid.axes)])
         self._derivatives = {}
 
     def matvec(self, v):
@@ -132,10 +135,14 @@ class MixtureOperator:
         self.components = list(components)
         self.noise_variance = float(noise_variance)
         self.n = int(n)
-        for c in self.components:
+        for i, c in enumerate(self.components):
             if c.weights.shape[0] != self.n:
                 raise DimensionMismatchError(
                     "component weights row count does not match n")
+            for axis, factor in enumerate(c.kuu.factors):
+                if not np.isfinite(factor.first_column).all():
+                    raise NonFiniteInputError(
+                        f"c{i}: K_UU factor {axis} overflows")
         self._owners = tuple(
             ("component", i, local) for i, c in enumerate(self.components)
             for local in range(c.kernel.n_params)) + (("noise",),)

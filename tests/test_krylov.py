@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from warpski.exceptions import ConfigError, NotPositiveDefiniteError
+from warpski.exceptions import (ConfigError, NonFiniteInputError,
+                                NotPositiveDefiniteError)
 from warpski.grids import grid_covering_box
 from warpski.kernels import Periodic, SquaredExponential
 from warpski.krylov import (cg_solve, lanczos, rademacher_probes, slq_logdet,
@@ -208,6 +209,22 @@ class TestLanczos:
         assert f.steps == 1 and f.betas.shape == (0,)
         np.testing.assert_allclose(f.alphas, [1.0], rtol=1e-15)
         np.testing.assert_array_equal(start, np.arange(1.0, 6.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(50,), (50, 3)])
+    def test_overflow_ends_the_run_at_once(self, shape):
+        # the second apply overflows; a kept-basis run and a block run both
+        # stop there, and numpy's overflow warning does not escape
+        calls = []
+        d = np.linspace(1.0, 2.0, 50)
+
+        def apply(v):
+            calls.append(v)
+            return (d * v.T).T * np.exp(710.0 * (len(calls) - 1))
+
+        with pytest.raises(NonFiniteInputError, match="overflows"):
+            lanczos(apply, np.ones(shape), 10, keep_basis=len(shape) == 1)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_basis_free_matches_reorthogonalized_for_few_steps(self, k):
