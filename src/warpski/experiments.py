@@ -210,9 +210,8 @@ def numeric2d_model(config):
     # the second-axis amplitude is redundant with the first and stays fixed
     fixed = np.zeros(5, dtype=bool)
     fixed[2] = True
-    model = GpModel([GpComponent(kernel, warp, grid)], noise=config.noise,
-                    fixed=fixed)
-    return model
+    return GpModel([GpComponent(kernel, warp, grid)], noise=config.noise,
+                   fixed=fixed)
 
 
 def _sample_numeric2d(config):
@@ -221,15 +220,12 @@ def _sample_numeric2d(config):
                          for lo, hi in config.data_box])
     truth_model = numeric2d_model(
         dataclasses.replace(config, grid_counts=config.sample_grid_counts))
-    draw = sample_prior(truth_model, x, seed=config.seed + 1)
-    return x, draw
+    return x, sample_prior(truth_model, x, seed=config.seed + 1)
 
 
 def _infer_numeric2d(config, model, x, y):
-    """Build the operator, time CG and the value-only NLML on it, separate.
-
-    Returns the ``separate`` result and the two timings.
-    """
+    """Build the operator, time CG and the value-only NLML on it, and
+    separate; returns the ``separate`` result and the two timings."""
     op = build_operator(model, x)
     timings = {
         "inference": _timeit(
@@ -252,8 +248,7 @@ def run_numeric2d(config):
     model = numeric2d_model(config)
     start_theta = model.theta.copy()
     start_theta[0] = np.log(config.start_amplitude)
-    start_theta[1] = np.log(config.start_lengthscale)
-    start_theta[3] = np.log(config.start_lengthscale)
+    start_theta[[1, 3]] = np.log(config.start_lengthscale)
     start_theta[-1] = np.log(config.start_noise)
     model = model.with_theta(start_theta)
 
@@ -338,6 +333,9 @@ def run_separation1d(config):
             raise ConfigError(f"{name}: need at least 2 events, got "
                               f"{events.size}")
         warps.append(phase_from_events(events))
+        if not np.all(np.diff(warps[-1].forward(t)) > 0.0):
+            raise ConfigError(f"{'data_csv' if config.data_csv else 'dt'}: "
+                              "consecutive samples share a rounded phase")
     model = separation_model(config, warps, t_end, t_start=t_start)
 
     if config.data_csv:

@@ -89,16 +89,18 @@ class SquaredExponential(Kernel):
     def __init__(self, amplitude, lengthscale):
         self.log_params = _log_positive((amplitude, lengthscale))
 
+    @np.errstate(over="ignore")  # (tau / l)^2 = inf gives k = 0
     def eval(self, tau):
         tau = np.asarray(tau, dtype=float)
         a, l = np.exp(self.log_params)
         return a * a * np.exp(-0.5 * (tau / l) ** 2)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def grad(self, tau):
         tau = np.asarray(tau, dtype=float)
         k = self.eval(tau)
         _, l = np.exp(self.log_params)
-        return np.stack([2.0 * k, k * (tau / l) ** 2])
+        return np.stack([2.0 * k, np.where(k > 0.0, k * (tau / l) ** 2, 0.0)])
 
 
 class Periodic(Kernel):
@@ -110,23 +112,26 @@ class Periodic(Kernel):
     def __init__(self, amplitude, lengthscale, period):
         self.log_params = _log_positive((amplitude, lengthscale, period))
 
+    @np.errstate(over="ignore")  # (s / l)^2 = inf gives k = 0
     def eval(self, tau):
         tau = np.asarray(tau, dtype=float)
         a, l, p = np.exp(self.log_params)
         s = np.sin(np.pi * tau / p)
         return a * a * np.exp(-2.0 * (s / l) ** 2)
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def grad(self, tau):
         tau = np.asarray(tau, dtype=float)
         k = self.eval(tau)
         _, l, p = np.exp(self.log_params)
         arg = np.pi * tau / p
         s = np.sin(arg)
-        d_amp = 2.0 * k
         d_len = k * 4.0 * (s / l) ** 2
         # d/d log p via chain rule: sin(2 arg) = 2 sin(arg) cos(arg)
         d_per = k * (2.0 * np.pi * tau / (p * l * l)) * np.sin(2.0 * arg)
-        return np.stack([d_amp, d_len, d_per])
+        # 0 where k underflows or s = 0, where a tiny l gives inf * 0
+        return np.stack([2.0 * k, *np.where((k > 0.0) & (s != 0.0),
+                                            [d_len, d_per], 0.0)])
 
 
 class Product(Kernel):

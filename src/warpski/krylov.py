@@ -35,7 +35,8 @@ def cg_solve(apply, y, tol=1e-8, max_iter=None):
     residual turns non-positive or non-finite, the report carries
     ``converged=False`` (residual ``nan`` for a non-finite ``y``); the
     caller decides severity. A ``tol`` outside [0, 1) raises
-    ``ConfigError``: at 1 or above x = 0 would pass as converged.
+    ``ConfigError``: at 1 or above x = 0 would pass as converged. ``apply``
+    may return its argument, a view of it or one reused output buffer.
     """
     if not 0.0 <= tol < 1.0:
         raise ConfigError(f"tol: must lie in [0, 1), got {tol}")
@@ -48,9 +49,8 @@ def cg_solve(apply, y, tol=1e-8, max_iter=None):
         return CgReport(np.zeros(n), 0, 0.0, True)
     if not np.isfinite(ynorm):
         return CgReport(np.zeros(n), 0, float("nan"), False)
-    x = np.zeros(n)
-    r = y.copy()
-    p = r.copy()
+    x, step = np.zeros(n), np.empty(n)
+    r, p = y.copy(), y.copy()
     rs = r @ r
     it = 0
     while it < max_iter:
@@ -61,12 +61,12 @@ def cg_solve(apply, y, tol=1e-8, max_iter=None):
         if not 0.0 < denom < np.inf:
             break
         alpha = rs / denom
-        x = x + alpha * p
-        r = r - alpha * kp
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, kp, out=step)
         rs_new = r @ r
         if not np.isfinite(rs_new):
             break
-        p = r + (rs_new / rs) * p
+        np.add(r, np.multiply(rs_new / rs, p, out=p), out=p)
         rs = rs_new
         it += 1
     res = float(np.linalg.norm(y - apply(x)) / ynorm)
@@ -124,6 +124,8 @@ def lanczos(apply, start, k, keep_basis=True):
     1976). A block with ``keep_basis`` or a k below 1 raises
     ``ConfigError``, and a zero column ``ValueError``. A non-finite alpha
     or beta ends the run with ``NonFiniteInputError``, not a numpy warning.
+    Each step writes only one new vector and ``q_prev``, so ``apply`` may
+    alias its argument or its last output as in :func:`cg_solve`.
     """
     v = np.asarray(start, dtype=float)
     q = v.reshape(len(v), -1)
@@ -139,6 +141,7 @@ def lanczos(apply, start, k, keep_basis=True):
     q = q / np.sqrt(_column_dots(q, q))
     alphas, betas = np.zeros((k, q.shape[1])), np.zeros((k - 1, q.shape[1]))
     basis = np.zeros((k, len(v))) if keep_basis else None
+    proj = np.empty(len(v)) if keep_basis else None
     live = np.ones(q.shape[1], dtype=bool)
     for j in range(k):
         w = apply(q.reshape(v.shape)).reshape(q.shape)
@@ -149,12 +152,14 @@ def lanczos(apply, start, k, keep_basis=True):
             basis[j] = q[:, 0]
         if j == k - 1:
             break
-        w = w - alphas[j] * q
+        aq = alphas[j] * q  # the one new vector of the step
+        w = np.subtract(w, aq, out=aq)
         if j:
-            w -= betas[j - 1] * q_prev
+            w -= np.multiply(betas[j - 1], q_prev, out=q_prev)
         beta = np.sqrt(_column_dots(w, w))
         for _ in range(2 if keep_basis else 0):
-            w[:, 0] -= (basis[:j + 1] @ w[:, 0]) @ basis[:j + 1]
+            w[:, 0] -= np.matmul(basis[:j + 1] @ w[:, 0], basis[:j + 1],
+                                 out=proj)
             beta, before = np.sqrt(_column_dots(w, w)), beta
             if beta >= before / np.sqrt(2.0):
                 break

@@ -236,7 +236,6 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     op = operator if operator is not None else build_operator(model, x)
     probes = rademacher_probes(n, n_probes, seed)
     rep = cg_solve(op.matvec, y, tol=cg_tol)
-    alpha = rep.x
     free = model.free_indices()
     logdet = 0.0
     trace_term = np.zeros(free.size)
@@ -248,7 +247,7 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
                                                 vals, vecs)
         del factor  # its basis goes before the next probe's run starts
     logdet /= n_probes
-    value = 0.5 * (float(y @ alpha) + logdet + n * LOG_2PI)
+    value = 0.5 * (float(y @ rep.x) + logdet + n * LOG_2PI)
     diagnostics = {
         "cg_iterations": rep.iterations,
         "cg_converged": rep.converged,
@@ -257,7 +256,7 @@ def approx_nlml(model, x, y, n_probes=20, seed=0, cg_tol=1e-8,
     }
     if not with_gradient:
         return value, None, diagnostics
-    data_term = np.array([-float(alpha @ op.derivative_matvec(idx, alpha))
+    data_term = np.array([-float(rep.x @ op.derivative_matvec(idx, rep.x))
                           for idx in free])
     grad = np.zeros(op.n_params)
     grad[free] = 0.5 * (data_term + trace_term / n_probes)
@@ -373,16 +372,13 @@ def predict_mean(model, x, alpha, x_star):
     """
     alpha = np.asarray(alpha, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
-    total = np.zeros(x_star.shape[0])
     per_component = []
     for comp in build_operator(model, x).components:
         z_star = warp_points(comp.warp, x_star, comp.grid.ndim)
         w_star = interpolation_weights(comp.grid, z_star)
-        t = comp.weights.rmatvec(alpha)
-        mean = w_star.matvec(comp.kuu.matvec(t))
-        per_component.append(mean)
-        total = total + mean
-    return total, per_component
+        per_component.append(
+            w_star.matvec(comp.kuu.matvec(comp.weights.rmatvec(alpha))))
+    return sum(per_component, np.zeros(x_star.shape[0])), per_component
 
 
 @dataclass

@@ -161,7 +161,7 @@ class MixtureOperator:
         v = as_operand(v, self.n)
         out = self.noise_variance * v
         for c in self.components:
-            out = out + c.matvec(v)
+            out += c.matvec(v)
         return out
 
     def derivative_matvec(self, index, v):

@@ -79,9 +79,9 @@ class SymToeplitz:
 def mode_products(x, maps):
     """Apply ``maps[d]``, which may resize the axis, along axis d of ``x``."""
     for d, f in enumerate(maps):
-        x = np.moveaxis(x, d, 0)
-        y = f(x.reshape(x.shape[0], -1))
-        x = np.moveaxis(y.reshape((-1,) + x.shape[1:]), 0, d)
+        x = np.moveaxis(x, d, 0) if d else x
+        y = f(x.reshape(x.shape[0], -1)).reshape((-1,) + x.shape[1:])
+        x = np.moveaxis(y, 0, d) if d else y
     return x
 
 

@@ -36,6 +36,13 @@ def check(name):
     return deco
 
 
+def _assert_symmetric(matvec, rng, n, what):
+    u, v = rng.normal(size=(2, n))
+    a = float(u @ matvec(v))
+    b = float(v @ matvec(u))
+    assert abs(a - b) <= 1e-10 * max(abs(a), 1.0), f"{what} asymmetric"
+
+
 def _rel(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
@@ -226,12 +233,8 @@ def _kron_vs_dense():
 def _structured_symmetry():
     rng = np.random.default_rng(11)
     factors = [SymToeplitz(rng.normal(size=m)) for m in (6, 8)]
-    op = KronOperator(factors)
-    u = rng.normal(size=48)
-    v = rng.normal(size=48)
-    a = float(u @ op.matvec(v))
-    b = float(v @ op.matvec(u))
-    assert abs(a - b) <= 1e-10 * max(abs(a), 1.0), "Kronecker operator asymmetric"
+    _assert_symmetric(KronOperator(factors).matvec, rng, 48,
+                      "Kronecker operator")
 
 
 @check("structured.prior_root_squares_to_toeplitz")
@@ -295,12 +298,8 @@ def _two_component(period, counts=128):
 def _mixture_symmetry():
     rng = np.random.default_rng(14)
     x = rng.uniform(-1.0, 1.0, 300)
-    op = build_operator(_two_component(0.9), x)
-    u = rng.normal(size=300)
-    v = rng.normal(size=300)
-    a = float(u @ op.matvec(v))
-    b = float(v @ op.matvec(u))
-    assert abs(a - b) <= 1e-10 * max(abs(a), 1.0), "mixture operator asymmetric"
+    _assert_symmetric(build_operator(_two_component(0.9), x).matvec, rng,
+                      300, "mixture operator")
 
 
 @check("operators.amplitude_forms_match_grid")

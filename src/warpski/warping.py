@@ -164,22 +164,19 @@ class ElementwiseWarp(Warp):
         self.warps = warps
         self.dim = len(warps)
 
-    def _check(self, x):
+    def _per_axis(self, x, method):
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.dim:
             raise DimensionMismatchError(
                 f"expected trailing dimension {self.dim}")
-        return x
+        return np.stack([getattr(w, method)(x[..., d])
+                         for d, w in enumerate(self.warps)], axis=-1)
 
     def forward(self, x):
-        x = self._check(x)
-        return np.stack([w.forward(x[..., d])
-                         for d, w in enumerate(self.warps)], axis=-1)
+        return self._per_axis(x, "forward")
 
     def inverse(self, z):
-        z = self._check(z)
-        return np.stack([w.inverse(z[..., d])
-                         for d, w in enumerate(self.warps)], axis=-1)
+        return self._per_axis(z, "inverse")
 
 
 def phase_from_events(event_times):

@@ -8,7 +8,9 @@ several tests are deliberately large and take minutes.
 import time
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
+import scipy.sparse
 
 from warpski.experiments import (ExperimentConfig, run_numeric2d,
                                  run_separation1d)
@@ -243,10 +245,37 @@ def _best_time(fn, repeats=3):
     return best
 
 
+def _reference_kernel():
+    """A fixed numpy/scipy computation, ten sparse-FFT-sparse products at
+    n = 20,000 and m = 4,096, whose time follows the machine's current
+    speed and no change to warpski."""
+    rng = np.random.default_rng(0)
+    n, m = 20_000, 4096
+    rows = np.repeat(np.arange(n), 4)
+    w = scipy.sparse.csr_matrix(
+        (rng.random(rows.size), (rows, rng.integers(0, m, rows.size))),
+        shape=(n, m))
+    w_t = w.T.tocsr()
+    spectrum = np.abs(rng.standard_normal(m + 1))
+    v = rng.standard_normal(n)
+
+    def run():
+        for _ in range(10):
+            u = scipy.fft.irfft(scipy.fft.rfft(w_t @ v, n=2 * m) * spectrum,
+                                n=2 * m)
+            w @ u[:m]
+
+    return run
+
+
 def test_ac08_near_linear_scaling():
+    # each size is timed in units of a fixed reference kernel timed right
+    # before and right after it, so a neighbour that starts mid-sweep on
+    # a shared host does not show as growth
     rng = np.random.default_rng(8)
     kernel = SquaredExponential(1.2, 0.35)
     doublings = 4
+    reference = _reference_kernel()
 
     def op_for(n, m):
         x = rng.uniform(-1.0, 1.0, n)
@@ -257,20 +286,23 @@ def test_ac08_near_linear_scaling():
     def growth(times):
         return (times[-1] / times[0]) ** (1.0 / doublings)
 
-    mvm_n, inf_n = [], []
-    for n in [2500 * 2 ** i for i in range(doublings + 1)]:
-        op, x = op_for(n, 4096)
+    def time_size(n, m, mvm, inf):
+        op, x = op_for(n, m)
         v = rng.normal(size=n)
         y = np.sin(3 * x) + 0.3 * rng.standard_normal(n)
-        mvm_n.append(_best_time(lambda: op.matvec(v)))
-        inf_n.append(_best_time(lambda: cg_solve(op.matvec, y, tol=1e-6)))
+        before = _best_time(reference)
+        t_mvm = _best_time(lambda: op.matvec(v))
+        t_inf = _best_time(lambda: cg_solve(op.matvec, y, tol=1e-6))
+        scale = 0.5 * (before + _best_time(reference))
+        mvm.append(t_mvm / scale)
+        inf.append(t_inf / scale)
+
+    mvm_n, inf_n = [], []
+    for n in [2500 * 2 ** i for i in range(doublings + 1)]:
+        time_size(n, 4096, mvm_n, inf_n)
     mvm_m, inf_m = [], []
     for m in [4096 * 2 ** i for i in range(doublings + 1)]:
-        op, x = op_for(10_000, m)
-        v = rng.normal(size=10_000)
-        y = np.sin(3 * x) + 0.3 * rng.standard_normal(10_000)
-        mvm_m.append(_best_time(lambda: op.matvec(v)))
-        inf_m.append(_best_time(lambda: cg_solve(op.matvec, y, tol=1e-6)))
+        time_size(10_000, m, mvm_m, inf_m)
     rates = {"mvm vs n": growth(mvm_n), "inference vs n": growth(inf_n),
              "mvm vs m": growth(mvm_m), "inference vs m": growth(inf_m)}
     _report("AC8 near-linear scaling",

@@ -390,6 +390,24 @@ class TestCliSmoke:
         err = capsys.readouterr().err
         assert f"error: {field}: need at least 2 events, got {count}" in err
 
+    def test_time_step_below_the_phase_rounding_exits_2(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dt": 1e-300}))
+        assert main(["separate", "--n", "200", "--max-steps", "1",
+                     "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: dt: " in err and "axis" not in err
+
+    @pytest.mark.parametrize("field", ["env_lengthscale", "per_lengthscale"])
+    def test_tiny_lengthscale_runs_without_warnings(self, tmp_path, capsys,
+                                                    field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: 1e-300}))
+        assert main(["separate", "--n", "200", "--max-steps", "1",
+                     "--config", str(path)]) == 0
+        assert "cg_converged: True" in capsys.readouterr().out
+
     def test_infinite_noise_flag_exits_2(self, capsys):
         assert main(["numeric2d", "--n", "100", "--max-steps", "1",
                      "--noise", "inf"]) == 2

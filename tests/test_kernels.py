@@ -17,6 +17,13 @@ class TestSquaredExponential:
         want = 1.3 ** 2 * np.exp(-tau ** 2 / (2 * 0.7 ** 2))
         np.testing.assert_allclose(k.eval(tau), want, rtol=1e-14)
 
+    def test_tiny_lengthscale_gives_the_finite_limit(self):
+        k = SquaredExponential(1.3, 1e-300)
+        tau = np.linspace(0.0, 6.0, 13)
+        want = np.where(tau == 0.0, 1.3 ** 2, 0.0)
+        np.testing.assert_array_equal(k.eval(tau), want)
+        np.testing.assert_array_equal(k.grad(tau), [2.0 * want, np.zeros(13)])
+
 
 class TestPeriodic:
     def test_exactly_periodic(self):
@@ -29,6 +36,16 @@ class TestPeriodic:
         tau = np.array([0.3, 1.0, -0.7])
         want = 0.9 ** 2 * np.exp(-2 * np.sin(np.pi * tau / 2.0) ** 2 / 1.1 ** 2)
         np.testing.assert_allclose(k.eval(tau), want, rtol=1e-14)
+
+    def test_tiny_lengthscale_gives_the_finite_limit(self):
+        # (s / l)^2 and 1 / l^2 overflow: k is a^2 at tau = 0 and 0
+        # elsewhere, and its lengthscale and period derivatives are 0
+        k = Periodic(1.3, 1e-300, 2.0)
+        tau = np.linspace(0.0, 6.0, 13)
+        want = np.where(tau == 0.0, 1.3 ** 2, 0.0)
+        np.testing.assert_array_equal(k.eval(tau), want)
+        np.testing.assert_array_equal(
+            k.grad(tau), [2.0 * want, np.zeros(13), np.zeros(13)])
 
 
 class TestQuasiPeriodic:

@@ -16,6 +16,26 @@ def _spd(rng, n, cond=10.0):
     return a @ a.T / n + np.eye(n) / cond
 
 
+def _aliasing_pair(kind, n):
+    """``(aliasing, copying)``: two applies of one symmetric operator. The
+    first returns its argument, a view of it, or one output buffer reused
+    across calls; the second returns the same values and strides in fresh
+    memory, so that both take the same BLAS paths."""
+    if kind == "identity":
+        return (lambda v: v), (lambda v: v.copy())
+    if kind == "reversal":
+        return (lambda v: v[::-1]), (lambda v: v.copy()[::-1])
+    mat = _spd(np.random.default_rng(21), n)
+    buffers = {}
+
+    def reused(v):
+        out = buffers.setdefault(v.shape, np.empty(v.shape))
+        out[...] = mat @ v
+        return out
+
+    return reused, (lambda v: mat @ v)
+
+
 class TestCgSolve:
     def test_solves_to_requested_tolerance(self):
         rng = np.random.default_rng(0)
@@ -71,6 +91,18 @@ class TestCgSolve:
         assert not rep.converged
         assert rep.iterations == 2
         assert len(calls) <= 4
+
+    @pytest.mark.parametrize("kind", ["identity", "reversal", "buffer"])
+    def test_apply_may_alias_its_argument_or_its_last_output(self, kind):
+        aliasing, copying = _aliasing_pair(kind, 40)
+        y = 1.0 + 0.1 * np.random.default_rng(5).normal(size=40)
+        y0 = y.copy()
+        got = cg_solve(aliasing, y, tol=1e-12)
+        want = cg_solve(copying, y, tol=1e-12)
+        assert got.iterations == want.iterations > 0
+        np.testing.assert_array_equal(got.x, want.x)
+        assert (got.residual, got.converged) == (want.residual, want.converged)
+        np.testing.assert_array_equal(y, y0)
 
 
 class TestLanczos:
@@ -209,6 +241,22 @@ class TestLanczos:
         assert f.steps == 1 and f.betas.shape == (0,)
         np.testing.assert_allclose(f.alphas, [1.0], rtol=1e-15)
         np.testing.assert_array_equal(start, np.arange(1.0, 6.0))
+
+    @pytest.mark.parametrize("kind", ["identity", "reversal", "buffer"])
+    @pytest.mark.parametrize("shape", [(40,), (40, 3)])
+    def test_apply_may_alias_its_argument_or_its_last_output(self, kind,
+                                                             shape):
+        aliasing, copying = _aliasing_pair(kind, 40)
+        start = np.random.default_rng(6).normal(size=shape)
+        start0 = start.copy()
+        keep = len(shape) == 1
+        got = lanczos(aliasing, start, 10, keep_basis=keep)
+        want = lanczos(copying, start, 10, keep_basis=keep)
+        assert got.steps == want.steps
+        for name in ("alphas", "betas", "basis"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+        np.testing.assert_array_equal(start, start0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("shape", [(50,), (50, 3)])

@@ -213,6 +213,20 @@ def test_param_layout_agrees_across_model_operator_and_axes(kind):
         assert kd.log_params[idx.index(local)] == model.theta[j]
 
 
+@pytest.mark.parametrize("kind", ["numeric2d", "separation"])
+@pytest.mark.parametrize("cols", [None, 3])
+def test_matvec_is_the_out_of_place_sum_of_its_layers(kind, cols):
+    # in place, bit for bit: sigma^2 v, then each W_i K_i W_i^T v in order
+    model, x = _experiment_model(kind)
+    op = build_operator(model, x)
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=(x.shape[0],) if cols is None else (x.shape[0], cols))
+    want = op.noise_variance * v
+    for c in op.components:
+        want = want + c.weights.matvec(c.kuu.matvec(c.weights.rmatvec(v)))
+    np.testing.assert_array_equal(op.matvec(v), want)
+
+
 def _entry_points():
     """(name, operand length, product) for every operator entry point."""
     x = np.random.default_rng(2).uniform(-1.0, 1.0, 50)
