@@ -107,7 +107,8 @@ def _cmd_validate(args):
     if args.list:
         print("\n".join(check_names()))
         return 0
-    names = args.checks.split(",") if args.checks else None
+    names = (None if args.checks is None
+             else [name for name in args.checks.split(",") if name])
     return 1 if run_validation(names) else 0
 
 

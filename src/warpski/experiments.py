@@ -332,6 +332,9 @@ def run_separation1d(config):
         elif (events := load_events_csv(path)).size < 2:
             raise ConfigError(f"{name}: need at least 2 events, got "
                               f"{events.size}")
+        elif np.any(np.diff(events) <= 0.0):
+            raise ConfigError(f"{name}: event times in {path} must strictly "
+                              "increase")
         warps.append(phase_from_events(events))
         if not np.all(np.diff(warps[-1].forward(t)) > 0.0):
             raise ConfigError(f"{'data_csv' if config.data_csv else 'dt'}: "

@@ -120,8 +120,9 @@ def warped_grid(grid, warp):
 class InterpWeights:
     """Sparse local-cubic interpolation weights (n rows, m columns).
 
-    Exactly ``4^D`` nonzeros per row; each row sums to one. Column order
-    is the C-order flattening of the grid (last dimension fastest).
+    From :func:`interpolation_weights`: exactly ``4^D`` nonzeros per row,
+    each row summing to one, columns in the C-order flattening of the grid
+    (last dimension fastest). ``MixtureOperator.weights`` stacks these.
     """
 
     def __init__(self, matrix):

@@ -352,14 +352,16 @@ class SeparationResult:
 def separate(model, x, y, cg_tol=5e-3, operator=None):
     """Posterior mean of each mixture component at the training points.
 
-    Solves (sum_i K_i + sigma^2 I) alpha = y once by CG, then applies one
-    structured MVM per component. The identity
-    sum_j mean_j + sigma^2 alpha = y holds to CG tolerance.
+    Solves (sum_i K_i + sigma^2 I) alpha = y once by CG, then forms
+    K_b W_b^T alpha once; component i's mean is W_i times its block. The
+    identity sum_j mean_j + sigma^2 alpha = y holds to CG tolerance.
     """
     y = _check_y(x, y)
     op = operator if operator is not None else build_operator(model, x)
     rep = cg_solve(op.matvec, y, tol=cg_tol)
-    means = [c.matvec(rep.x) for c in op.components]
+    u = op.inducing(rep.x)
+    means = [c.weights.matvec(u[block])
+             for c, block in zip(op.components, op.blocks)]
     residual = y - sum(means) - op.noise_variance * rep.x
     return SeparationResult(means=means, residual=residual, cg_report=rep)
 
@@ -372,12 +374,11 @@ def predict_mean(model, x, alpha, x_star):
     """
     alpha = np.asarray(alpha, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
-    per_component = []
-    for comp in build_operator(model, x).components:
-        z_star = warp_points(comp.warp, x_star, comp.grid.ndim)
-        w_star = interpolation_weights(comp.grid, z_star)
-        per_component.append(
-            w_star.matvec(comp.kuu.matvec(comp.weights.rmatvec(alpha))))
+    op = build_operator(model, x)
+    u = op.inducing(alpha)
+    per_component = [interpolation_weights(c.grid, warp_points(
+        c.warp, x_star, c.grid.ndim)).matvec(u[block])
+        for c, block in zip(op.components, op.blocks)]
     return sum(per_component, np.zeros(x_star.shape[0])), per_component
 
 

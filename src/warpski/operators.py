@@ -3,16 +3,21 @@
 Each component pairs a stationary separable kernel with a warp and an
 equispaced inducing grid in warped space. The inducing-point matrix is a
 Kronecker product of per-axis symmetric Toeplitz factors, so MVMs cost
-O(n + m log m) per component.
+O(n + m log m) per component. The mixture is one SKI operator
+W_b K_b W_b^T + sigma^2 I on the stacked inducing space: W_b = [W_1 ... W_c]
+and K_b the block diagonal of the K_{U_i U_i}.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import scipy.sparse
 
 from .exceptions import (DimensionMismatchError, GridError,
                          NonFiniteInputError)
-from .grids import InducingGrid, interpolation_weights
+from .grids import InducingGrid, InterpWeights, interpolation_weights
 from .kernels import Kernel, dense_matrix, split_params
 from .structured import KronOperator, SymToeplitz, as_operand
 from .warping import Warp
@@ -51,10 +56,6 @@ class SkiComponent:
                 SymToeplitz(kd.eval(ax - ax[0]))
                 for (kd, _), ax in zip(self.axis_kernels, grid.axes)])
         self._derivatives = {}
-
-    def matvec(self, v):
-        """(W K_UU W^T) v."""
-        return self.weights.matvec(self.kuu.matvec(self.weights.rmatvec(v)))
 
     def derivative_operator(self, param_index):
         """dK_UU / d log(theta_j) as one Kronecker operator, built once.
@@ -122,11 +123,14 @@ def build_component(kernel, warp, grid, x):
 
 
 class MixtureOperator:
-    """sum_i W_i K_{U_i U_i} W_i^T + sigma^2 I, exposed through MVMs.
+    """W_b K_b W_b^T + sigma^2 I, exposed through MVMs.
 
-    The flattened hyperparameter vector is the concatenation of each
-    component's kernel parameters followed by the noise standard
-    deviation; derivatives are with respect to log-parameters.
+    ``weights`` is W_b = [W_1 ... W_c] (n x M, M the sum of the grid
+    sizes) and K_b the block diagonal of the components' ``kuu``;
+    ``blocks[i]`` is component i's slice of M. The flattened
+    hyperparameter vector is the concatenation of each component's kernel
+    parameters followed by the noise standard deviation; derivatives are
+    with respect to log-parameters.
     """
 
     def __init__(self, components, noise_variance, n):
@@ -143,6 +147,8 @@ class MixtureOperator:
                 if not np.isfinite(factor.first_column).all():
                     raise NonFiniteInputError(
                         f"c{i}: K_UU factor {axis} overflows")
+        edges = np.cumsum([0] + [c.weights.shape[1] for c in self.components])
+        self.blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
         self._owners = tuple(
             ("component", i, local) for i, c in enumerate(self.components)
             for local in range(c.kernel.n_params)) + (("noise",),)
@@ -157,36 +163,51 @@ class MixtureOperator:
             raise IndexError(f"parameter index {index} out of range")
         return self._owners[index]
 
+    @functools.cached_property
+    def weights(self):
+        """W_b = [W_1 ... W_c] as one CSR matrix, stacked on first use."""
+        # the leading n x 0 block makes a mixture of no components n x 0
+        return InterpWeights(scipy.sparse.hstack(
+            [scipy.sparse.csr_matrix((self.n, 0))]
+            + [c.weights.matrix for c in self.components], format="csr"))
+
+    def inducing(self, v):
+        """K_b W_b^T v: block i holds K_{U_i U_i} W_i^T v at ``blocks[i]``."""
+        u = self.weights.rmatvec(v)
+        for c, block in zip(self.components, self.blocks):
+            u[block] = c.kuu.matvec(u[block])
+        return u
+
     def matvec(self, v):
         v = as_operand(v, self.n)
-        out = self.noise_variance * v
-        for c in self.components:
-            out += c.matvec(v)
+        out = self.weights.matvec(self.inducing(v))
+        out += self.noise_variance * v
         return out
 
     def derivative_matvec(self, index, v):
-        """(dK / d log theta_index) v: W_i dK_UU W_i^T v for a kernel
-        parameter of component i, 2 sigma^2 v for the noise entry."""
+        """(dK / d log theta_index) v: W_i dK_UU (W_b^T v)_i, on block i
+        of the projection, for a kernel parameter of component i;
+        2 sigma^2 v for the noise entry."""
         owner = self.param_owner(index)
         v = np.asarray(v, dtype=float)
         if owner[0] == "noise":
             return 2.0 * self.noise_variance * v
         _, i, local = owner
         c = self.components[i]
-        return c.weights.matvec(
-            c.derivative_operator(local).matvec(c.weights.rmatvec(v)))
+        return c.weights.matvec(c.derivative_operator(local).matvec(
+            self.weights.rmatvec(v)[self.blocks[i]]))
 
     def derivative_forms(self, indices, x, xkx=None):
         """X^T (dK / d log theta_j) X for each j in ``indices``; X is (n, k).
 
         A kernel parameter of component i differentiates W_i K_UU W_i^T on
-        its grid: P_i = W_i^T X is formed once per owning component and the
-        form is P_i^T (dK_UU P_i), with no product by W_i. The noise entry
-        gives 2 sigma^2 X^T X. Given ``xkx`` = X^T K X for an orthonormal X
-        (the Lanczos T) and a free amplitude in every component, the
-        largest-grid component's amplitude form is 2 (xkx - sigma^2 I)
-        less the others' (each 2 X^T K_i X), so that component is
-        projected only for its other free parameters.
+        its grid: P = W_b^T X is formed once, and the form is
+        P_i^T (dK_UU P_i) on component i's block P_i of P, with no product
+        by W_b. The noise entry gives 2 sigma^2 X^T X. Given ``xkx`` =
+        X^T K X for an orthonormal X (the Lanczos T) and a free amplitude
+        in every component, the largest-grid component's amplitude form is
+        2 (xkx - sigma^2 I) less the others' (each 2 X^T K_i X), and no
+        dK_UU is built for it. X is not projected when no form needs P.
         """
         owners = [self.param_owner(j) for j in indices]
         amps = {o[1]: o for o in owners if o[0] == "component"
@@ -196,16 +217,14 @@ class MixtureOperator:
         if xkx is None or len(amps) < len(self.components):
             from_t = None
 
-        proj = {}
-
-        def grid_form(i, local):
-            if i not in proj:
-                proj[i] = self.components[i].weights.rmatvec(x)
-            d_kuu = self.components[i].derivative_operator(local)
-            return proj[i].T @ d_kuu.matmat(proj[i])
-
-        forms = {o: 2.0 * self.noise_variance * (x.T @ x) if o[0] == "noise"
-                 else grid_form(*o[1:]) for o in owners if o != from_t}
+        on_grid = [o for o in owners if o[0] == "component" and o != from_t]
+        p = self.weights.rmatvec(x) if on_grid else None
+        forms = {o: 2.0 * self.noise_variance * (x.T @ x)
+                 for o in owners if o[0] == "noise"}
+        for o in on_grid:
+            p_i = p[self.blocks[o[1]]]
+            d_kuu = self.components[o[1]].derivative_operator(o[2])
+            forms[o] = p_i.T @ d_kuu.matmat(p_i)
         if from_t is not None:
             forms[from_t] = 2.0 * (xkx - self.noise_variance * np.eye(
                 len(xkx))) - sum(forms[o] for o in amps.values() if o != from_t)

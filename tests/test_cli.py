@@ -269,11 +269,19 @@ class TestCliSmoke:
         second = stable(capsys.readouterr().out)
         assert first == second
 
-    def test_validate_subcommand_runs_named_checks(self, capsys):
-        code = main(["validate", "--checks", "kernels"])
+    @pytest.mark.parametrize("checks", ["kernels", "kernels,", ",", ""])
+    def test_validate_subcommand_runs_named_checks(self, capsys, checks):
+        code = main(["validate", "--checks", checks])
+        captured = capsys.readouterr()
+        if checks in (",", ""):  # no name left once empty entries go
+            assert code == 2
+            assert "error: --checks: " in captured.err
+            return
         assert code == 0
-        text = capsys.readouterr().out
-        assert "PASS kernels.stationary_symmetry" in text
+        ran = [line.split()[1] for line in captured.out.splitlines()
+               if line.startswith(("PASS ", "FAIL "))]
+        assert "kernels.stationary_symmetry" in ran
+        assert all(name.startswith("kernels") for name in ran)
 
     def test_validate_without_a_matching_check_exits_2(self, capsys):
         assert main(["validate", "--checks", "nosuch"]) == 2
@@ -379,16 +387,20 @@ class TestCliSmoke:
     @pytest.mark.parametrize("flag, field", [
         ("--maternal-events", "maternal_events_csv"),
         ("--fetal-events", "fetal_events_csv")])
-    @pytest.mark.parametrize("text, count", [("time\n", 0),
-                                             ("time\n0.4\n", 1)])
+    @pytest.mark.parametrize("text, message", [
+        ("time\n", "need at least 2 events, got 0"),
+        ("time\n0.4\n", "need at least 2 events, got 1"),
+        ("time\n0.5\n0.3\n1.2\n", "event times in {} must strictly increase"),
+        ("time\n0.5\n0.9\n0.9\n1.2\n",
+         "event times in {} must strictly increase")])
     def test_events_csv_with_fewer_than_2_events_exits_2(
-            self, tmp_path, capsys, flag, field, text, count):
+            self, tmp_path, capsys, flag, field, text, message):
         events = tmp_path / "events.csv"
         events.write_text(text)
         assert main(["separate", "--n", "200", "--max-steps", "1",
                      flag, str(events)]) == 2
         err = capsys.readouterr().err
-        assert f"error: {field}: need at least 2 events, got {count}" in err
+        assert f"error: {field}: {message.format(events)}" in err
 
     def test_time_step_below_the_phase_rounding_exits_2(self, tmp_path,
                                                         capsys):

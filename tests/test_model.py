@@ -164,6 +164,26 @@ class TestApproxNlml:
         b = approx_nlml(m, x, y, seed=3)[0]
         assert a == b
 
+    def test_pure_noise_model_is_exact(self):
+        x, y = _data(150)
+        m = GpModel([], noise=0.3)
+        value, grad, _ = approx_nlml(m, x, y, n_probes=4, lanczos_steps=10)
+        want, want_grad = exact_nlml(m, x, y)
+        assert value == pytest.approx(want, rel=1e-15)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-15)
+        sep = separate(m, x, y)
+        assert sep.means == []
+        np.testing.assert_array_equal(
+            sep.residual, y - m.noise_variance * sep.cg_report.x)
+
+    def test_components_build_no_transpose_of_their_own(self):
+        m = _two_component()
+        x, y = _data(150)
+        op = build_operator(m, x)
+        approx_nlml(m, x, y, n_probes=2, lanczos_steps=5, operator=op)
+        assert all("matrix_t" not in vars(c.weights) for c in op.components)
+        assert "matrix_t" in vars(op.weights)
+
     def test_projected_gradient_matches_seeded_finite_differences(self):
         x, y = _data(200, seed=1)
         m = _model_1d(counts=96)
@@ -297,24 +317,25 @@ class TestProjectedTraceGradient:
             if fixed == [2]:
                 np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("free, projected", [
-        ([0, 2], [1]), ([0, 1, 2], [0, 1]), ([0, 3], [0, 1])])
+    @pytest.mark.parametrize("free, built", [
+        ([0, 2], [(1, 0)]), ([0, 1, 2], [(0, 1), (1, 0)]),
+        ([0, 3], [(0, 0), (1, 1)])])
     def test_largest_grid_is_projected_for_other_parameters_only(
-            self, free, projected):
+            self, free, built):
         op = build_operator(_two_component(periodic_counts=100), _data(150)[0])
-        calls = []
-
-        def counting(i, rmatvec):
-            return lambda v: calls.append(i) or rmatvec(v)
-
-        for i, c in enumerate(op.components):
-            c.weights.rmatvec = counting(i, c.weights.rmatvec)
         factor = lanczos(op.matvec, np.ones(op.n), 10)
         t = (np.diag(factor.alphas) + np.diag(factor.betas, 1)
              + np.diag(factor.betas, -1))
-        calls.clear()
+        projections, derivatives = [], []
+        rmatvec = op.weights.rmatvec
+        op.weights.rmatvec = lambda v: projections.append(v) or rmatvec(v)
+        for i, c in enumerate(op.components):
+            c.derivative_operator = (
+                lambda j, i=i, d=c.derivative_operator:
+                derivatives.append((i, j)) or d(j))
         op.derivative_forms(free, factor.basis, t)
-        assert calls == projected
+        assert len(projections) == 1
+        assert sorted(derivatives) == built
 
     def test_each_free_derivative_built_once_per_evaluation(self,
                                                             monkeypatch):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from warpski.exceptions import DimensionMismatchError, GridError
 from warpski.experiments import (ExperimentConfig, _synthetic_events,
                                  numeric2d_model, separation_model)
-from warpski.grids import grid_covering_box, warped_grid
+from warpski.grids import InterpWeights, grid_covering_box, warped_grid
 from warpski.kernels import (Periodic, Product, QuasiPeriodic,
                              SquaredExponential, dense_matrix)
 from warpski.operators import (MixtureOperator, build_component,
@@ -83,8 +84,9 @@ class TestSkiComponent:
         comp = build_component(kernel, poly, grid, x)
         rng = np.random.default_rng(1)
         v = rng.normal(size=x.size)
-        np.testing.assert_allclose(comp.matvec(v), comp.dense_ski() @ v,
-                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(
+            MixtureOperator([comp], 0.0, x.size).matvec(v),
+            comp.dense_ski() @ v, rtol=1e-10, atol=1e-12)
 
     def test_derivative_matvec_matches_dense_fd(self):
         x, poly, grid, kernel = _warped_setup(n=150, m=256)
@@ -216,14 +218,17 @@ def test_param_layout_agrees_across_model_operator_and_axes(kind):
 @pytest.mark.parametrize("kind", ["numeric2d", "separation"])
 @pytest.mark.parametrize("cols", [None, 3])
 def test_matvec_is_the_out_of_place_sum_of_its_layers(kind, cols):
-    # in place, bit for bit: sigma^2 v, then each W_i K_i W_i^T v in order
+    # in place, bit for bit: W_b (K_b W_b^T v) + sigma^2 v
     model, x = _experiment_model(kind)
     op = build_operator(model, x)
     rng = np.random.default_rng(11)
     v = rng.normal(size=(x.shape[0],) if cols is None else (x.shape[0], cols))
-    want = op.noise_variance * v
-    for c in op.components:
-        want = want + c.weights.matvec(c.kuu.matvec(c.weights.rmatvec(v)))
+    w_b = InterpWeights(scipy.sparse.hstack(
+        [c.weights.matrix for c in op.components], format="csr"))
+    edges = np.cumsum([c.weights.shape[1] for c in op.components])[:-1]
+    u = np.concatenate([c.kuu.matvec(p) for c, p in zip(
+        op.components, np.split(w_b.rmatvec(v), edges))])
+    want = w_b.matvec(u) + op.noise_variance * v
     np.testing.assert_array_equal(op.matvec(v), want)
 
 
